@@ -11,7 +11,7 @@ the packet.  Its workload therefore scales with the total flow-arrival rate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 from repro.common.addresses import MacAddress
 from repro.common.packets import FlowKey, Packet
@@ -58,6 +58,10 @@ class OpenFlowController:
     def switch(self, switch_id: int) -> OpenFlowEdgeSwitch:
         """Return a registered switch by id."""
         return self._switches[switch_id]
+
+    def switches(self) -> List[OpenFlowEdgeSwitch]:
+        """All registered switches ordered by id."""
+        return [self._switches[switch_id] for switch_id in sorted(self._switches)]
 
     def switch_count(self) -> int:
         """Number of connected switches."""

@@ -42,14 +42,21 @@ class ControlPlane(Protocol):
     is what the runner needs to provision the design and collect a
     :class:`~repro.core.results.RunResult` afterwards.
 
-    One optional extension is discovered by ``hasattr``: designs exposing
-    ``inject_failures`` receive the spec's failure storms.  Workload churn
-    is opted into *explicitly*: register the design with
+    Seven optional methods are discovered by ``hasattr``; a design that
+    lacks one simply skips that feature:
+
+    * ``set_perf_recorder`` / ``set_tracer`` — instrumentation hooks;
+    * ``fold_perf_counters`` — end-of-replay data-plane counters;
+    * ``inject_failures`` — receives the spec's failure storms;
+    * ``churn_attributed_regroupings`` — reported in the churn summary;
+    * ``table_usage`` / ``link_usage`` — ``RunResult.tables`` / ``.links``.
+
+    Workload churn is opted into *explicitly*: register the design with
     ``register_control_plane(..., churn_aware=True)`` and implement the
     :class:`ChurnAware` hooks.  (Designs that implement the hooks without
     declaring ``churn_aware`` still receive churn through a deprecation
-    shim in the runner.)  Designs without either simply run on a frozen
-    topology.
+    shim in the runner, which probes ``churn_migrate_host``.)  Designs
+    without either simply run on a frozen topology.
     """
 
     counters: SystemCounters

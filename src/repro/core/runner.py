@@ -3,9 +3,12 @@
 :class:`ScenarioRunner` materializes a :class:`~repro.core.scenario.ScenarioSpec`
 (topology, trace), instantiates each selected control plane through the
 registry, replays the trace, and collects a serializable
-:class:`ScenarioResult`.  ``run_many`` fans independent scenarios out over a
-process pool, which is how sweeps (scale, config, traffic mix) use every
-core.
+:class:`ScenarioResult`.  Every execution shape — serial, pooled, streamed,
+time-windowed — goes through the one shard loop in
+:func:`repro.replay.executor.execute_plan`; a serial run is the degenerate
+plan of one whole-timeline shard per system.  ``run_many`` fans independent
+scenarios out over a process pool, which is how sweeps (scale, config,
+traffic mix) use every core.
 
 The lower-level :meth:`ScenarioRunner.replay_system` drives one registered
 control plane over an already-built trace; the legacy
@@ -17,7 +20,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import multiprocessing
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -37,10 +39,10 @@ from repro.core.results import (
 )
 from repro.core.scenario import FailureInjectionSpec, ScenarioSpec, ScheduleSpec
 from repro.obs.timeline import MetricsTimeline, TimelineResult
-from repro.obs.tracer import NULL_TRACER, EventTracer, JsonlEventListener, TraceOptions
+from repro.obs.tracer import NULL_TRACER, TraceOptions
 from repro.perf.recorder import NULL_RECORDER, PerfRecorder, peak_rss_bytes
 from repro.perf.report import PerfSnapshot
-from repro.replay.executor import can_fork_workers, execute_plan
+from repro.replay.executor import can_fork_workers, execute_plan, fork_pool_map
 from repro.replay.merge import merge_outcomes
 from repro.replay.sharding import plan_shards
 from repro.replay.spec import ExecutionSpec
@@ -153,11 +155,13 @@ class ScenarioRunner:
         """Materialize ``spec`` and run every selected control plane on it.
 
         ``spec.execution`` (overridable per call via ``execution=``) decides
-        *how*: the default serial path, a process pool over per-system
-        shards, or bucket-aligned time-window shards merged deterministically
-        (see :mod:`repro.replay`).  The per-system (``"system"``) strategy is
-        bit-identical to the serial run for any worker count; the
+        *how*: per-system shards (in this process by default, or over a
+        process pool) or bucket-aligned time-window shards merged
+        deterministically (see :mod:`repro.replay`).  The per-system
+        (``"system"``) strategy is bit-identical for any worker count; the
         ``"time-window"`` strategy is bit-identical across worker counts.
+        In-process, one materialized trace is generated once and shared by
+        every shard.
 
         With ``collect_perf=True`` every run is instrumented with a
         :class:`~repro.perf.recorder.PerfRecorder` and carries a
@@ -181,15 +185,13 @@ class ScenarioRunner:
             spec = dataclasses.replace(spec, execution=execution)
         # Resolve every name up front so a typo fails before minutes of replay.
         entries = [get_control_plane(name) for name in spec.systems]
-        # Fold the finite-table overlay (capacity + policy) into the config
-        # all systems run with; also resolves the policy name so a typo in
-        # ``spec.tables`` fails before minutes of replay.
-        config = spec.effective_config()
+        # Fold the table/link overlays into the config once and resolve the
+        # table policy name, so a bad overlay fails before minutes of replay.
+        spec.effective_config()
         if spec.tables is not None:
             spec.tables.resolved_params()
         plan = plan_shards(spec)
-        obs_active = obs is not None and obs.active
-        stream_events = obs_active and obs.events_path is not None
+        stream_events = obs is not None and obs.events_path is not None
         if stream_events and not plan.is_serial_per_system:
             raise ConfigurationError(
                 "events streaming needs one whole-timeline replay per system "
@@ -197,31 +199,18 @@ class ScenarioRunner:
                 "per-shard lifecycles in the JSONL stream"
             )
         use_pool = plan.workers > 1 and len(plan.shards) > 1 and not stream_events and can_fork_workers()
-        if not use_pool and plan.is_serial_per_system:
-            # The classic serial path, byte for byte: one process, systems in
-            # spec order, shared materialized trace where semantics allow.
-            return self._run_serial(spec, entries, config, collect_perf=collect_perf, obs=obs)
-
-        timeline_bucket: Optional[float] = None
-        if obs_active and obs.timeline:
-            timeline_bucket = obs.timeline_bucket_seconds or spec.schedule.bucket_seconds
-        outcomes = execute_plan(
-            spec,
-            plan,
-            collect_perf=collect_perf,
-            timeline_bucket_seconds=timeline_bucket,
-            use_pool=use_pool,
-        )
+        outcomes = execute_plan(spec, plan, collect_perf=collect_perf, obs=obs, use_pool=use_pool)
         runs: Dict[str, RunResult] = {}
         walls: Dict[str, List[float]] = {}
         for entry in entries:
-            system_outcomes = sorted(
-                (outcome for outcome in outcomes if outcome.shard.system == entry.name),
-                key=lambda outcome: outcome.shard.index,
-            )
+            system_outcomes = [outcome for outcome in outcomes if outcome.shard.system == entry.name]
             runs[entry.name] = merge_outcomes(system_outcomes, schedule=spec.schedule)
             walls[entry.name] = [outcome.wall_seconds for outcome in system_outcomes]
-        all_walls = [wall for system_walls in walls.values() for wall in system_walls]
+        if not use_pool and plan.is_serial_per_system:
+            # A serial run carries no shard telemetry, so its serialized
+            # result is byte-for-byte the pre-sharding format.
+            return ScenarioResult(spec=spec, runs=runs)
+        all_walls = [outcome.wall_seconds for outcome in outcomes]
         telemetry = {
             "strategy": plan.strategy,
             "workers": plan.workers,
@@ -267,80 +256,13 @@ class ScenarioRunner:
         if fan_out <= 1 or len(spec_list) == 1 or not can_fork_workers():
             return [self.run(spec) for spec in spec_list]
 
-        if "fork" in multiprocessing.get_all_start_methods():
-            context = multiprocessing.get_context("fork")
-        else:  # pragma: no cover - Windows/macOS spawn fallback
-            context = multiprocessing.get_context()
-        payloads = [spec.to_dict() for spec in spec_list]
-        with context.Pool(processes=min(fan_out, len(spec_list))) as pool:
-            results = pool.map(_run_spec_payload, payloads)
+        results = fork_pool_map(
+            _run_spec_payload,
+            [spec.to_dict() for spec in spec_list],
+            workers=fan_out,
+            describe=lambda payload: f"spec {payload['name']!r}",
+        )
         return [ScenarioResult.from_dict(result) for result in results]
-
-    def _run_serial(
-        self,
-        spec: ScenarioSpec,
-        entries,
-        config: LazyCtrlConfig,
-        *,
-        collect_perf: bool,
-        obs: Optional[TraceOptions],
-    ) -> ScenarioResult:
-        """One process, systems in spec order — the pre-sharding replay loop."""
-        obs_active = obs is not None and obs.active
-        base_trace = None if spec.stream else spec.build_trace(spec.build_network())
-        runs: Dict[str, RunResult] = {}
-        events_sink = None
-        try:
-            if obs_active and obs.events_path is not None:
-                events_sink = open(obs.events_path, "w", encoding="utf-8")
-            for entry in entries:
-                system_trace: Trace | FlowStream
-                if spec.stream:
-                    # A stream is consumed by its replay, and churn additionally
-                    # mutates the topology, so every system gets a fresh network
-                    # and a fresh (lazily regenerated) stream over it.
-                    system_trace = spec.build_stream(spec.build_network())
-                elif spec.churn_active:
-                    # Churn mutates the topology during a replay, so each system
-                    # starts from its own pristine network.  The deterministic
-                    # builder yields an identical copy, and the already-generated
-                    # flows are simply rebound to it — far cheaper than
-                    # regenerating the trace per system.
-                    system_trace = Trace(base_trace.name, spec.build_network(), base_trace.flows)
-                else:
-                    system_trace = base_trace
-                tracer = NULL_TRACER
-                if obs_active:
-                    timeline = None
-                    if obs.timeline:
-                        timeline = MetricsTimeline(
-                            obs.timeline_bucket_seconds or spec.schedule.bucket_seconds
-                        )
-                    tracer = EventTracer(system=entry.name, timeline=timeline)
-                    if events_sink is not None:
-                        tracer.add_listener(
-                            JsonlEventListener(
-                                events_sink,
-                                system=entry.name,
-                                scenario=spec.name,
-                                sample=obs.sample,
-                            )
-                        )
-                runs[entry.name] = self.replay_system(
-                    entry.name,
-                    system_trace,
-                    schedule=spec.schedule,
-                    config=config,
-                    failures=spec.failures,
-                    churn=spec.churn,
-                    perf=PerfRecorder() if collect_perf else None,
-                    tracer=tracer,
-                    kernel=spec.execution.kernel,
-                )
-        finally:
-            if events_sink is not None:
-                events_sink.close()
-        return ScenarioResult(spec=spec, runs=runs)
 
     # -- single-system replay -------------------------------------------------
 

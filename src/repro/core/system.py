@@ -5,12 +5,13 @@ so the trace replayer can drive either one.  For every replayed flow the
 system decides which mechanism handles the first packet (flow table, L-FIB,
 G-FIB, or the controller), asks the latency model what that path costs,
 accounts controller workload, and records latency samples for every packet
-of the flow.
+of the flow.  Only the first-packet decision differs between the two, so
+everything around it lives once, in :class:`EdgeSystem`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.bandwidth.meter import build_link_meter
 from repro.common.config import LazyCtrlConfig
@@ -42,35 +43,6 @@ from repro.topology.network import DataCenterNetwork
 from repro.traffic.flow import FlowRecord
 
 
-def _aggregate_table_usage(config, tables, flow_removed_messages: int) -> TableUsageResult:
-    """Fold per-switch flow-table stats into one :class:`TableUsageResult`."""
-    installs = overflows = evictions = idle = hard = reinstalls = 0
-    peak = final = 0
-    for table in tables:
-        stats = table.stats
-        installs += stats.installs
-        overflows += stats.overflows
-        evictions += stats.evictions
-        idle += stats.timeouts
-        hard += stats.hard_timeouts
-        reinstalls += stats.reinstalls
-        peak = max(peak, stats.peak_occupancy)
-        final += len(table)
-    return TableUsageResult(
-        capacity=config.flow_table.capacity,
-        policy=config.flow_table.policy,
-        installs=installs,
-        overflows=overflows,
-        evictions=evictions,
-        idle_timeouts=idle,
-        hard_timeouts=hard,
-        reinstalls=reinstalls,
-        flow_removed_messages=flow_removed_messages,
-        peak_occupancy=peak,
-        final_occupancy=final,
-    )
-
-
 def _attach_table_tracer(tracer, switch) -> None:
     """Tap one switch's flow table into the event bus with its switch id.
 
@@ -91,47 +63,217 @@ def _attach_table_tracer(tracer, switch) -> None:
     switch.flow_table.pressure_listener = on_pressure
 
 
-def _congestion_penalty_ms(system, flow: FlowRecord, src_switch_id: int, dst_switch_id: int, now: float) -> float:
-    """Queueing delay the traversed uplinks add to one flow's packets.
+class EdgeSystem:
+    """The flow-accounting skeleton both systems under test share.
 
-    Charges the flow's bytes to both capacitated uplinks of the one-hop
-    underlay (source and destination edge), reads back their current
-    accounting-window utilization, and prices each through the latency
-    model's M/M/1 term.  Returns 0.0 — and touches nothing — when the
-    topology carries no capacities (``_link_meter is None``) or the flow
-    never leaves its edge switch, which is what keeps capacity-less runs
-    bit-identical to pre-subsystem behaviour.
+    A subclass builds ``self.controller`` and its edge switches, and
+    implements :meth:`_first_packet` — the one step the designs differ in —
+    plus ``periodic``, ``prepare`` and ``updates_per_hour``.
     """
-    meter = system._link_meter
-    if meter is None or src_switch_id == dst_switch_id:
-        return 0.0
-    observation = meter.observe(flow, src_switch_id, dst_switch_id, now)
-    if observation.congested:
-        system.counters.congested_flows += 1
-    tracer = system.tracer
-    if tracer.enabled:
-        for switch_id, utilization in observation.newly_congested:
-            tracer.emit(
-                LinkCongestedEvent(time=now, switch_id=switch_id, utilization=utilization)
+
+    def __init__(
+        self, network: DataCenterNetwork, config: LazyCtrlConfig | None, *, latency_bucket_seconds: float
+    ) -> None:
+        self.network = network
+        self.config = config or LazyCtrlConfig()
+        self.latency_model = LatencyModel(self.config.latency)
+        self.latency_recorder = LatencyRecorder(latency_bucket_seconds)
+        self.counters = SystemCounters()
+        self.perf = NULL_RECORDER
+        self.tracer = NULL_TRACER
+        #: Per-uplink utilization meter, or ``None`` when the topology
+        #: carries no link capacities.
+        self.link_meter = build_link_meter(network)
+        self._last_table_sweep = 0.0
+
+    def switch(self, switch_id: int):
+        """Return one of this system's edge switches."""
+        return self.controller.switch(switch_id)
+
+    def switches(self) -> list:
+        """All edge switches, ordered by id."""
+        return self.controller.switches()
+
+    # -- FlowSink protocol ----------------------------------------------------------
+
+    def handle_flow_arrival(self, flow: FlowRecord, now: float) -> Optional[FlowHandlingResult]:
+        """Handle one replayed flow: first-packet path decision + accounting."""
+        network = self.network
+        counters = self.counters
+        src_host = network.host_if_present(flow.src_host_id)
+        dst_host = network.host_if_present(flow.dst_host_id)
+        if src_host is None or dst_host is None:
+            # An endpoint's tenant departed mid-run (workload churn): the
+            # flow never materializes and generates no control-plane work.
+            counters.departed_flows += 1
+            return None
+        packet = make_data_packet(
+            src_host.mac,
+            dst_host.mac,
+            src_host.tenant_id,
+            created_at=now,
+            flow_id=flow.flow_id,
+        )
+        path, first, steady, controller_involved, duplicates, false_positive_drop = (
+            self._first_packet(src_host, dst_host, packet, now)
+        )
+
+        meter = self.link_meter
+        if meter is not None and src_host.switch_id != dst_host.switch_id:
+            # Queueing delay of the traversed uplinks: charge the flow's bytes
+            # to both capacitated uplinks of the one-hop underlay and price
+            # each one's accounting-window utilization through the M/M/1
+            # term.  Capacity-less topologies and edge-local flows never touch
+            # the meter, keeping them bit-identical to runs without it.
+            observation = meter.observe(flow, src_host.switch_id, dst_host.switch_id, now)
+            if observation.congested:
+                counters.congested_flows += 1
+            if self.tracer.enabled:
+                for switch_id, utilization in observation.newly_congested:
+                    self.tracer.emit(
+                        LinkCongestedEvent(time=now, switch_id=switch_id, utilization=utilization)
+                    )
+            model = self.latency_model
+            penalty = model.queueing_delay_ms(observation.src_utilization) + model.queueing_delay_ms(
+                observation.dst_utilization
             )
-    model = system.latency_model
-    return model.queueing_delay_ms(observation.src_utilization) + model.queueing_delay_ms(
-        observation.dst_utilization
-    )
+            if penalty > 0.0:
+                first += penalty
+                steady += penalty
+
+        counters.flows_handled += 1
+        counters.duplicate_deliveries += duplicates
+        if false_positive_drop:
+            counters.false_positive_drops += 1
+
+        self.latency_recorder.record(now, first)
+        if flow.packet_count > 1:
+            self.latency_recorder.record(now, steady, count=flow.packet_count - 1)
+        if self.tracer.enabled:
+            self.tracer.flow(now, first)
+
+        return FlowHandlingResult(
+            flow_id=flow.flow_id,
+            path=path,
+            src_switch_id=src_host.switch_id,
+            dst_switch_id=dst_host.switch_id,
+            controller_involved=controller_involved,
+            first_packet_latency_ms=first,
+            steady_packet_latency_ms=steady,
+            duplicate_deliveries=duplicates,
+            false_positive_drop=false_positive_drop,
+        )
+
+    def _first_packet(self, src_host, dst_host, packet, now: float) -> tuple:
+        """One flow's ``(path, first_ms, steady_ms, controller_involved, duplicates, fp_drop)``."""
+        raise NotImplementedError
+
+    # -- periodic housekeeping ---------------------------------------------------------
+
+    def _sweep_tables(self, now: float) -> None:
+        """Eagerly expire aged flow rules, at most once per sweep interval.
+
+        The periodic tick fires every couple of replay minutes; the sweep is
+        rate-limited by ``flow_table.sweep_interval_seconds`` so large
+        deployments do not walk every table on every tick.  Lookups expire
+        rules lazily in between, so the sweep only changes *when* a removal
+        is noticed, never whether it happens.
+        """
+        with self.perf.timeit("table_sweep"):
+            if now - self._last_table_sweep < self.config.flow_table.sweep_interval_seconds:
+                return
+            self._last_table_sweep = now
+            for switch in self.switches():
+                switch.advance_tables(now)
+
+    def _sample_gauges(self, now: float) -> None:
+        """Sample the occupancy and utilization gauges.
+
+        Runs at every tick, independent of the sweep rate limit, so both
+        systems' timelines share a cadence.
+        """
+        tracer = self.tracer
+        if tracer.enabled:
+            tracer.gauge(
+                "table_occupancy", now, sum(len(switch.flow_table) for switch in self.switches())
+            )
+            if self.link_meter is not None:
+                tracer.gauge("link_utilization", now, self.link_meter.max_utilization(now))
+
+    # -- ControlPlane protocol (runner-facing) ------------------------------------------
+
+    def set_perf_recorder(self, recorder) -> None:
+        """Attach a perf recorder to the system and its controller."""
+        self.perf = recorder
+        self.controller.perf = recorder
+
+    def set_tracer(self, tracer) -> None:
+        """Attach an event tracer to the system, its controller, and its tables."""
+        self.tracer = tracer
+        self.controller.tracer = tracer
+        for switch in self.switches():
+            _attach_table_tracer(tracer, switch)
+
+    def fold_perf_counters(self) -> None:
+        """Fold data-plane counters into the recorder (end-of-replay snapshot).
+
+        The per-packet counters live on the switches themselves so the hot
+        path never pays for instrumentation; this aggregates them into the
+        recorder's registry once, when a snapshot is about to be taken.
+        """
+        perf = self.perf
+        if not perf.enabled:
+            return
+        switches = self.switches()
+        perf.count("edge.packets_processed", sum(switch.packets_processed for switch in switches))
+        perf.count("edge.packets_to_controller", sum(switch.packets_to_controller for switch in switches))
+        perf.count("edge.flow_table_hits", sum(switch.flow_table.stats.hits for switch in switches))
+        perf.count("edge.flow_table_misses", sum(switch.flow_table.stats.misses for switch in switches))
+        perf.count("controller.flow_mods", self.controller.flow_mods_sent)
+        self._fold_extra_counters(perf)
+        usage = self.table_usage()
+        for name in ("overflows", "evictions", "idle_timeouts", "hard_timeouts", "reinstalls"):
+            perf.count(f"edge.table_{name}", getattr(usage, name))
+        perf.gauge("edge.table_peak_occupancy", usage.peak_occupancy)
+        perf.gauge("edge.table_final_occupancy", usage.final_occupancy)
+
+    def _fold_extra_counters(self, perf) -> None:
+        """Design-specific counters for :meth:`fold_perf_counters`."""
+
+    def table_usage(self) -> TableUsageResult:
+        """Flow-table pressure accounting aggregated over all edge switches."""
+        tables = [switch.flow_table for switch in self.switches()]
+        stats = [table.stats for table in tables]
+        return TableUsageResult(
+            capacity=self.config.flow_table.capacity,
+            policy=self.config.flow_table.policy,
+            installs=sum(entry.installs for entry in stats),
+            overflows=sum(entry.overflows for entry in stats),
+            evictions=sum(entry.evictions for entry in stats),
+            idle_timeouts=sum(entry.timeouts for entry in stats),
+            hard_timeouts=sum(entry.hard_timeouts for entry in stats),
+            reinstalls=sum(entry.reinstalls for entry in stats),
+            flow_removed_messages=self.controller.flow_removed_received,
+            peak_occupancy=max((entry.peak_occupancy for entry in stats), default=0),
+            final_occupancy=sum(len(table) for table in tables),
+        )
+
+    def link_usage(self, duration_seconds: float):
+        """Per-uplink utilization matrix, or ``None`` without capacities."""
+        if self.link_meter is None:
+            return None
+        return self.link_meter.usage(duration_seconds)
+
+    def workload_series(self):
+        """Controller requests bucketed over simulation time."""
+        return self.controller.workload_series
+
+    def total_controller_requests(self) -> int:
+        """Total requests the controller served."""
+        return self.controller.total_requests
 
 
-def _fold_table_counters(perf, usage: TableUsageResult) -> None:
-    """Expose table-pressure accounting through the perf registry."""
-    perf.count("edge.table_overflows", usage.overflows)
-    perf.count("edge.table_evictions", usage.evictions)
-    perf.count("edge.table_idle_timeouts", usage.idle_timeouts)
-    perf.count("edge.table_hard_timeouts", usage.hard_timeouts)
-    perf.count("edge.table_reinstalls", usage.reinstalls)
-    perf.gauge("edge.table_peak_occupancy", usage.peak_occupancy)
-    perf.gauge("edge.table_final_occupancy", usage.final_occupancy)
-
-
-class LazyCtrlSystem:
+class LazyCtrlSystem(EdgeSystem):
     """The full LazyCtrl deployment: edge switches, LCGs and the lazy controller."""
 
     def __init__(
@@ -143,22 +285,14 @@ class LazyCtrlSystem:
         workload_bucket_seconds: float = 7200.0,
         latency_bucket_seconds: float = 7200.0,
     ) -> None:
-        self.network = network
-        self.config = config or LazyCtrlConfig()
+        super().__init__(network, config, latency_bucket_seconds=latency_bucket_seconds)
         self.controller = LazyCtrlController(
             network,
             config=self.config,
             dynamic_grouping=dynamic_grouping,
             workload_bucket_seconds=workload_bucket_seconds,
         )
-        self.latency_model = LatencyModel(self.config.latency)
-        self.latency_recorder = LatencyRecorder(latency_bucket_seconds)
-        self.counters = SystemCounters()
-        self.perf = NULL_RECORDER
-        self.tracer = NULL_TRACER
         self.failover_records: List = []
-        self._last_table_sweep = 0.0
-        self._link_meter = build_link_meter(network)
 
         for info in network.switches():
             switch = LazyCtrlEdgeSwitch(
@@ -186,39 +320,23 @@ class LazyCtrlSystem:
         self.controller.grouping_manager.current_grouping = grouping
         self.controller.apply_grouping(grouping, now=now)
 
-    # -- FlowSink protocol ----------------------------------------------------------
+    # -- first-packet decision ------------------------------------------------------
 
-    def handle_flow_arrival(self, flow: FlowRecord, now: float) -> Optional[FlowHandlingResult]:
-        """Handle one replayed flow: first-packet path decision + accounting."""
-        src_host = self.network.host_if_present(flow.src_host_id)
-        dst_host = self.network.host_if_present(flow.dst_host_id)
-        if src_host is None or dst_host is None:
-            # An endpoint's tenant departed mid-run (workload churn): the
-            # flow never materializes and generates no control-plane work.
-            self.counters.departed_flows += 1
-            return None
-        src_switch = self.controller.switch(src_host.switch_id)
-        packet = make_data_packet(
-            src_host.mac,
-            dst_host.mac,
-            src_host.tenant_id,
-            created_at=now,
-            flow_id=flow.flow_id,
-        )
+    def _first_packet(self, src_host, dst_host, packet, now: float) -> tuple:
+        """Flow table → L-FIB → G-FIB → controller (Fig. 5)."""
+        controller = self.controller
+        counters = self.counters
+        latency_model = self.latency_model
+        controller.grouping_manager.observe_flow(src_host.switch_id, dst_host.switch_id)
+        decision = controller.switch(src_host.switch_id).process_packet(packet, now)
 
-        self.controller.grouping_manager.observe_flow(src_host.switch_id, dst_host.switch_id)
-        decision = src_switch.process_packet(packet, now)
-
-        duplicates = decision.duplicate_count
         false_positive_drop = False
         controller_involved = False
-        latency_model = self.latency_model
-
         if decision.outcome == ForwardingOutcome.LOCAL_DELIVERY:
             path = FlowPathKind.LOCAL
             first = latency_model.local_delivery_ms()
             steady = first
-            self.counters.local_flows += 1
+            counters.local_flows += 1
         elif decision.outcome == ForwardingOutcome.FLOW_TABLE_HIT:
             path = FlowPathKind.FLOW_TABLE
             first = latency_model.flow_table_hit_ms()
@@ -227,50 +345,23 @@ class LazyCtrlSystem:
             path = FlowPathKind.INTRA_GROUP
             first = latency_model.intra_group_ms(len(decision.target_switches))
             steady = latency_model.intra_group_ms()
-            self.counters.intra_group_flows += 1
-            false_positive_drop = self._deliver_intra_group_copies(decision, dst_host.switch_id, now)
+            counters.intra_group_flows += 1
+            false_positive_drop = self._deliver_intra_group_copies(decision, now)
         else:
             # The group could not resolve the destination: inter-group flow.
             path = FlowPathKind.INTER_GROUP
             controller_involved = True
-            load = self.controller.current_load_rps(now)
-            result = self.controller.handle_packet_in(src_host.switch_id, packet, now)
+            load = controller.current_load_rps(now)
+            result = controller.handle_packet_in(src_host.switch_id, packet, now)
             first = latency_model.inter_group_setup_ms(load)
             steady = latency_model.flow_table_hit_ms()
-            self.counters.inter_group_flows += 1
-            self.counters.controller_requests += 1
+            counters.inter_group_flows += 1
+            counters.controller_requests += 1
             if result.egress_switch_id is None:
                 path = FlowPathKind.DROPPED
+        return path, first, steady, controller_involved, decision.duplicate_count, false_positive_drop
 
-        penalty = _congestion_penalty_ms(self, flow, src_host.switch_id, dst_host.switch_id, now)
-        if penalty > 0.0:
-            first += penalty
-            steady += penalty
-
-        self.counters.flows_handled += 1
-        self.counters.duplicate_deliveries += duplicates
-        if false_positive_drop:
-            self.counters.false_positive_drops += 1
-
-        self.latency_recorder.record(now, first)
-        if flow.packet_count > 1:
-            self.latency_recorder.record(now, steady, count=flow.packet_count - 1)
-        if self.tracer.enabled:
-            self.tracer.flow(now, first)
-
-        return FlowHandlingResult(
-            flow_id=flow.flow_id,
-            path=path,
-            src_switch_id=src_host.switch_id,
-            dst_switch_id=dst_host.switch_id,
-            controller_involved=controller_involved,
-            first_packet_latency_ms=first,
-            steady_packet_latency_ms=steady,
-            duplicate_deliveries=duplicates,
-            false_positive_drop=false_positive_drop,
-        )
-
-    def _deliver_intra_group_copies(self, decision, true_destination_switch: int, now: float) -> bool:
+    def _deliver_intra_group_copies(self, decision, now: float) -> bool:
         """Deliver the encapsulated copies of an intra-group packet.
 
         Copies sent to false-positive switches are dropped there after an
@@ -297,33 +388,8 @@ class LazyCtrlSystem:
             self.controller.collect_state_reports(now=now)
         with perf.timeit("regrouping"):
             self.controller.periodic_check(now)
-        with perf.timeit("table_sweep"):
-            self._sweep_tables(now)
-        if self.tracer.enabled:
-            self.tracer.gauge(
-                "table_occupancy",
-                now,
-                sum(len(switch.flow_table) for switch in self.controller.switches()),
-            )
-            if self._link_meter is not None:
-                self.tracer.gauge(
-                    "link_utilization", now, self._link_meter.max_utilization(now)
-                )
-
-    def _sweep_tables(self, now: float) -> None:
-        """Eagerly expire aged flow rules, at most once per sweep interval.
-
-        The periodic tick fires every couple of replay minutes; the sweep is
-        rate-limited by ``flow_table.sweep_interval_seconds`` so large
-        deployments do not walk every table on every tick.  Lookups expire
-        rules lazily in between, so the sweep only changes *when* a removal
-        is noticed, never whether it happens.
-        """
-        if now - self._last_table_sweep < self.config.flow_table.sweep_interval_seconds:
-            return
-        self._last_table_sweep = now
-        for switch in self.controller.switches():
-            switch.advance_tables(now)
+        self._sweep_tables(now)
+        self._sample_gauges(now)
 
     # -- ControlPlane protocol (runner-facing) ------------------------------------------
 
@@ -331,69 +397,17 @@ class LazyCtrlSystem:
         """Provision the initial grouping from the trace's warm-up window."""
         self.install_initial_grouping(trace, warmup_end=warmup_end, now=now)
 
-    def set_perf_recorder(self, recorder) -> None:
-        """Attach a perf recorder to the system and its controller."""
-        self.perf = recorder
-        self.controller.perf = recorder
-
     def set_tracer(self, tracer) -> None:
         """Attach an event tracer to the system, its controller, and its tables."""
-        self.tracer = tracer
-        self.controller.tracer = tracer
+        super().set_tracer(tracer)
         self.controller.grouping_manager.tracer = tracer
-        for switch in self.controller.switches():
-            _attach_table_tracer(tracer, switch)
 
-    def fold_perf_counters(self) -> None:
-        """Fold data-plane counters into the recorder (end-of-replay snapshot).
-
-        The per-packet counters live on the switches themselves so the hot
-        path never pays for instrumentation; this aggregates them into the
-        recorder's registry once, when a snapshot is about to be taken.
-        """
-        perf = self.perf
-        if not perf.enabled:
-            return
-        queries = cache_hits = packets = to_controller = table_hits = table_misses = 0
-        for switch in self.controller.switches():
-            packets += switch.packets_processed
-            to_controller += switch.packets_to_controller
-            queries += switch.gfib.query_count
-            cache_hits += switch.gfib.query_cache_hits
-            table_hits += switch.flow_table.stats.hits
-            table_misses += switch.flow_table.stats.misses
-        perf.count("edge.packets_processed", packets)
-        perf.count("edge.packets_to_controller", to_controller)
-        perf.count("edge.gfib_queries", queries)
-        perf.count("edge.gfib_query_cache_hits", cache_hits)
-        perf.count("edge.flow_table_hits", table_hits)
-        perf.count("edge.flow_table_misses", table_misses)
-        perf.count("controller.flow_mods", self.controller.flow_mods_sent)
+    def _fold_extra_counters(self, perf) -> None:
+        gfibs = [switch.gfib for switch in self.switches()]
+        perf.count("edge.gfib_queries", sum(gfib.query_count for gfib in gfibs))
+        perf.count("edge.gfib_query_cache_hits", sum(gfib.query_cache_hits for gfib in gfibs))
         perf.count("controller.arp_relays", self.controller.arp_relays)
         perf.count("controller.group_config_messages", self.controller.group_config_messages)
-        _fold_table_counters(perf, self.table_usage())
-
-    def table_usage(self) -> TableUsageResult:
-        """Flow-table pressure accounting aggregated over all edge switches."""
-        return _aggregate_table_usage(
-            self.config,
-            (switch.flow_table for switch in self.controller.switches()),
-            self.controller.flow_removed_received,
-        )
-
-    def link_usage(self, duration_seconds: float):
-        """Per-uplink utilization matrix, or ``None`` without capacities."""
-        if self._link_meter is None:
-            return None
-        return self._link_meter.usage(duration_seconds)
-
-    def workload_series(self):
-        """Controller requests bucketed over simulation time."""
-        return self.controller.workload_series
-
-    def total_controller_requests(self) -> int:
-        """Total requests the lazy controller served."""
-        return self.controller.total_requests
 
     def updates_per_hour(self, *, hours: int) -> List[float]:
         """Grouping updates per hour bucket (Fig. 8)."""
@@ -461,7 +475,7 @@ class LazyCtrlSystem:
         return records
 
 
-class OpenFlowSystem:
+class OpenFlowSystem(EdgeSystem):
     """The baseline: every flow set up reactively by the central controller."""
 
     def __init__(
@@ -472,18 +486,8 @@ class OpenFlowSystem:
         workload_bucket_seconds: float = 7200.0,
         latency_bucket_seconds: float = 7200.0,
     ) -> None:
-        self.network = network
-        self.config = config or LazyCtrlConfig()
+        super().__init__(network, config, latency_bucket_seconds=latency_bucket_seconds)
         self.controller = OpenFlowController(workload_bucket_seconds=workload_bucket_seconds)
-        self.latency_model = LatencyModel(self.config.latency)
-        self.latency_recorder = LatencyRecorder(latency_bucket_seconds)
-        self.counters = SystemCounters()
-        self.perf = NULL_RECORDER
-        self.tracer = NULL_TRACER
-        self._last_table_sweep = 0.0
-        self._link_meter = build_link_meter(network)
-
-        self._switches: Dict[int, OpenFlowEdgeSwitch] = {}
         for info in network.switches():
             switch = OpenFlowEdgeSwitch(
                 info.switch_id,
@@ -491,36 +495,19 @@ class OpenFlowSystem:
                 management_mac=info.management_mac,
                 flow_table_config=self.config.flow_table,
             )
-            self._switches[info.switch_id] = switch
             self.controller.register_switch(switch)
         for host in network.hosts():
-            self._switches[host.switch_id].attach_host(host.mac, host.port, host.tenant_id)
+            self.switch(host.switch_id).attach_host(host.mac, host.port, host.tenant_id)
 
-    def switch(self, switch_id: int) -> OpenFlowEdgeSwitch:
-        """Return one of the baseline edge switches."""
-        return self._switches[switch_id]
+    # -- first-packet decision ------------------------------------------------------
 
-    # -- FlowSink protocol ------------------------------------------------------------
-
-    def handle_flow_arrival(self, flow: FlowRecord, now: float) -> Optional[FlowHandlingResult]:
-        """Handle one replayed flow under reactive centralized control."""
-        src_host = self.network.host_if_present(flow.src_host_id)
-        dst_host = self.network.host_if_present(flow.dst_host_id)
-        if src_host is None or dst_host is None:
-            self.counters.departed_flows += 1
-            return None
-        src_switch = self._switches[src_host.switch_id]
-        packet = make_data_packet(
-            src_host.mac,
-            dst_host.mac,
-            src_host.tenant_id,
-            created_at=now,
-            flow_id=flow.flow_id,
-        )
-        decision = src_switch.process_packet(packet, now)
+    def _first_packet(self, src_host, dst_host, packet, now: float) -> tuple:
+        """Flow table → controller: every table miss is set up reactively."""
+        controller = self.controller
+        latency_model = self.latency_model
+        decision = controller.switch(src_host.switch_id).process_packet(packet, now)
 
         controller_involved = False
-        latency_model = self.latency_model
         if decision.outcome == ForwardingOutcome.LOCAL_DELIVERY:
             path = FlowPathKind.LOCAL
             first = latency_model.local_delivery_ms()
@@ -531,11 +518,10 @@ class OpenFlowSystem:
             first = latency_model.flow_table_hit_ms()
             steady = first
         else:
-            # Every table miss goes to the controller for reactive setup.
             path = FlowPathKind.CONTROLLER_REACTIVE
             controller_involved = True
-            load = self.controller.current_load_rps(now)
-            result = self.controller.handle_packet_in(
+            load = controller.current_load_rps(now)
+            result = controller.handle_packet_in(
                 src_host.switch_id,
                 packet,
                 now,
@@ -546,107 +532,20 @@ class OpenFlowSystem:
             )
             steady = latency_model.flow_table_hit_ms()
             self.counters.controller_requests += 1
-
-        penalty = _congestion_penalty_ms(self, flow, src_host.switch_id, dst_host.switch_id, now)
-        if penalty > 0.0:
-            first += penalty
-            steady += penalty
-
-        self.counters.flows_handled += 1
-        self.latency_recorder.record(now, first)
-        if flow.packet_count > 1:
-            self.latency_recorder.record(now, steady, count=flow.packet_count - 1)
-        if self.tracer.enabled:
-            self.tracer.flow(now, first)
-
-        return FlowHandlingResult(
-            flow_id=flow.flow_id,
-            path=path,
-            src_switch_id=src_host.switch_id,
-            dst_switch_id=dst_host.switch_id,
-            controller_involved=controller_involved,
-            first_packet_latency_ms=first,
-            steady_packet_latency_ms=steady,
-        )
+        return path, first, steady, controller_involved, 0, False
 
     def periodic(self, now: float) -> None:
         """Periodic housekeeping: the baseline only ages its flow tables."""
-        # The occupancy gauge samples at every tick, independent of the
-        # sweep rate limit, so both systems' timelines share a cadence.
-        if self.tracer.enabled:
-            self.tracer.gauge(
-                "table_occupancy",
-                now,
-                sum(len(switch.flow_table) for switch in self._switches.values()),
-            )
-            if self._link_meter is not None:
-                self.tracer.gauge(
-                    "link_utilization", now, self._link_meter.max_utilization(now)
-                )
-        with self.perf.timeit("table_sweep"):
-            if now - self._last_table_sweep < self.config.flow_table.sweep_interval_seconds:
-                return
-            self._last_table_sweep = now
-            for switch in self._switches.values():
-                switch.advance_tables(now)
+        self._sample_gauges(now)
+        self._sweep_tables(now)
 
     # -- ControlPlane protocol (runner-facing) -----------------------------------------
 
     def prepare(self, trace, *, warmup_end: float, now: float = 0.0) -> None:
         """The reactive baseline needs no warm-up provisioning."""
 
-    def set_perf_recorder(self, recorder) -> None:
-        """Attach a perf recorder to the system and its controller."""
-        self.perf = recorder
-        self.controller.perf = recorder
-
-    def set_tracer(self, tracer) -> None:
-        """Attach an event tracer to the system, its controller, and its tables."""
-        self.tracer = tracer
-        self.controller.tracer = tracer
-        for switch in self._switches.values():
-            _attach_table_tracer(tracer, switch)
-
-    def fold_perf_counters(self) -> None:
-        """Fold data-plane counters into the recorder (end-of-replay snapshot)."""
-        perf = self.perf
-        if not perf.enabled:
-            return
-        packets = to_controller = table_hits = table_misses = 0
-        for switch in self._switches.values():
-            packets += switch.packets_processed
-            to_controller += switch.packets_to_controller
-            table_hits += switch.flow_table.stats.hits
-            table_misses += switch.flow_table.stats.misses
-        perf.count("edge.packets_processed", packets)
-        perf.count("edge.packets_to_controller", to_controller)
-        perf.count("edge.flow_table_hits", table_hits)
-        perf.count("edge.flow_table_misses", table_misses)
-        perf.count("controller.flow_mods", self.controller.flow_mods_sent)
+    def _fold_extra_counters(self, perf) -> None:
         perf.count("controller.arp_floods", self.controller.arp_floods)
-        _fold_table_counters(perf, self.table_usage())
-
-    def table_usage(self) -> TableUsageResult:
-        """Flow-table pressure accounting aggregated over all edge switches."""
-        return _aggregate_table_usage(
-            self.config,
-            (switch.flow_table for switch in self._switches.values()),
-            self.controller.flow_removed_received,
-        )
-
-    def link_usage(self, duration_seconds: float):
-        """Per-uplink utilization matrix, or ``None`` without capacities."""
-        if self._link_meter is None:
-            return None
-        return self._link_meter.usage(duration_seconds)
-
-    def workload_series(self):
-        """Controller requests bucketed over simulation time."""
-        return self.controller.workload_series
-
-    def total_controller_requests(self) -> int:
-        """Total requests the central controller served."""
-        return self.controller.total_requests
 
     def updates_per_hour(self, *, hours: int) -> List[float]:
         """The baseline never regroups; every hour bucket is zero."""
@@ -665,8 +564,8 @@ class OpenFlowSystem:
         if old_switch_id == new_switch_id:
             return
         migrated = self.network.migrate_host(host_id, new_switch_id)
-        self._switches[old_switch_id].detach_host(migrated.mac)
-        self._switches[new_switch_id].attach_host(migrated.mac, migrated.port, migrated.tenant_id)
+        self.switch(old_switch_id).detach_host(migrated.mac)
+        self.switch(new_switch_id).attach_host(migrated.mac, migrated.port, migrated.tenant_id)
         # The gratuitous ARP after migration re-teaches the controller.
         self.controller.learn_location(migrated.mac, new_switch_id)
 
@@ -675,7 +574,7 @@ class OpenFlowSystem:
         tenant = self.network.tenants.create_tenant(name)
         for switch_id in placements:
             host = self.network.attach_host(switch_id, tenant.tenant_id)
-            self._switches[switch_id].attach_host(host.mac, host.port, host.tenant_id)
+            self.switch(switch_id).attach_host(host.mac, host.port, host.tenant_id)
             self.controller.learn_location(host.mac, switch_id)
         return tenant.tenant_id
 
@@ -684,7 +583,7 @@ class OpenFlowSystem:
         host_ids = list(self.network.tenants.get(tenant_id).host_ids)
         for host_id in host_ids:
             host = self.network.host(host_id)
-            self._switches[host.switch_id].detach_host(host.mac)
+            self.switch(host.switch_id).detach_host(host.mac)
             self.controller.forget_location(host.mac)
             self.network.remove_host(host_id)
         self.network.tenants.remove_tenant(tenant_id)

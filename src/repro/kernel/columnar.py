@@ -179,9 +179,9 @@ class _PairStatic:
 class ColumnarReplayKernel:
     """Vectorized batch handler for one LazyCtrl or OpenFlow plane."""
 
-    def __init__(self, plane, switches: Dict[int, object], *, lazyctrl: bool, perf=NULL_RECORDER) -> None:
+    def __init__(self, plane, *, lazyctrl: bool, perf=NULL_RECORDER) -> None:
         self._plane = plane
-        self._switches = switches
+        self._switches = {switch.switch_id: switch for switch in plane.switches()}
         self._lazyctrl = lazyctrl
         self._perf = perf
         self._pair_static: Dict[int, _PairStatic] = {}
@@ -254,12 +254,9 @@ class ColumnarReplayKernel:
         n = len(batch)
         if n == 0:
             return
-        plane = self._plane
-        tracer = plane.tracer
-
         # Whole-batch bypass guards: situations the columnar path does not
         # model (rare in practice, always safe to replay scalar).
-        if getattr(tracer, "_listeners", None):
+        if self._plane.tracer.has_listeners:
             self._scalar_batch(batch)
             return
         for switch in self._switches.values():
@@ -461,7 +458,7 @@ class ColumnarReplayKernel:
 
     def _execute(self, batch, state) -> None:
         plane = self._plane
-        meter = plane._link_meter
+        meter = plane.link_meter
         saved_recorder = plane.latency_recorder
         manager = plane.controller.grouping_manager if self._lazyctrl else None
         saved_matrix = manager.recent_matrix if manager is not None else None
@@ -782,13 +779,8 @@ class ColumnarReplayKernel:
 
 def build_kernel(plane, *, perf=NULL_RECORDER) -> Optional[ColumnarReplayKernel]:
     """Build a kernel for ``plane``, or ``None`` when it cannot be accelerated."""
-    from repro.core.system import LazyCtrlSystem, OpenFlowSystem
+    from repro.core.system import EdgeSystem, LazyCtrlSystem
 
-    if not isinstance(plane, (LazyCtrlSystem, OpenFlowSystem)):
+    if not isinstance(plane, EdgeSystem):
         return None  # custom planes registered by tests keep the scalar path
-    if plane.latency_recorder._all is not None:
-        return None  # pragma: no cover - replays never keep raw samples
-    if isinstance(plane, LazyCtrlSystem):
-        switches = {switch.switch_id: switch for switch in plane.controller.switches()}
-        return ColumnarReplayKernel(plane, switches, lazyctrl=True, perf=perf)
-    return ColumnarReplayKernel(plane, dict(plane._switches), lazyctrl=False, perf=perf)
+    return ColumnarReplayKernel(plane, lazyctrl=isinstance(plane, LazyCtrlSystem), perf=perf)

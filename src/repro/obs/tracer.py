@@ -70,6 +70,7 @@ class NullTracer:
     __slots__ = ()
 
     enabled = False
+    has_listeners = False
     timeline: Optional[MetricsTimeline] = None
 
     def emit(self, event: TraceEvent) -> None:
@@ -113,6 +114,11 @@ class EventTracer:
         self.system = system
         self.timeline = timeline
         self._listeners: List[EventListener] = list(listeners)
+
+    @property
+    def has_listeners(self) -> bool:
+        """Whether any listener (beyond the timeline) receives events."""
+        return bool(self._listeners)
 
     def add_listener(self, listener: EventListener) -> None:
         """Register an additional event listener."""

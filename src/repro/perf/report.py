@@ -106,6 +106,11 @@ def format_kernel_breakdown(snapshot: PerfSnapshot) -> str:
     return "\n".join(lines)
 
 
+def _format_gauge(value: float) -> str:
+    """Integral gauges (bytes, occupancies) as integers, fractional ones as fractions."""
+    return f"{value:,.0f}" if float(value).is_integer() else f"{value:,.6g}"
+
+
 def format_stage_breakdown(snapshot: PerfSnapshot, *, label: str = "") -> str:
     """Render one snapshot as the per-stage table ``repro profile`` prints."""
     from repro.analysis.reports import format_table
@@ -141,5 +146,5 @@ def format_stage_breakdown(snapshot: PerfSnapshot, *, label: str = "") -> str:
         parts.extend(counter_lines)
     if snapshot.gauges:
         parts.append("gauges:")
-        parts.extend(f"  {name} = {value:,.0f}" for name, value in snapshot.gauges.items())
+        parts.extend(f"  {name} = {_format_gauge(value)}" for name, value in snapshot.gauges.items())
     return "\n".join(parts)

@@ -1,12 +1,13 @@
-"""Shard execution: the in-process body and the multiprocessing pool driver.
+"""Shard execution: one replay loop for every execution shape.
 
-:func:`execute_shard` is the one replay body both paths share — the
-``workers=1`` in-process loop and the pool workers run byte-for-byte the
-same code, which is what makes sharded output independent of the worker
-count.  Cross-process transport goes through plain dicts (``spec.to_dict``
-/ ``run.to_dict``) rather than pickled dataclasses, matching ``run_many``'s
-convention and keeping Python 3.10 workers happy; dict round-trips preserve
-every float exactly, so the transport is invisible in the results.
+:func:`execute_plan` runs a shard plan in this process — a serial run is
+the degenerate plan of one whole-timeline shard per system — or over a fork
+pool.  Both run every shard through :func:`execute_shard`, which is what
+makes sharded output independent of the worker count.  Cross-process
+transport goes through plain dicts (``spec.to_dict`` / ``run.to_dict``)
+rather than pickled dataclasses, matching ``run_many``'s convention and
+keeping Python 3.10 workers happy; dict round-trips preserve every float
+exactly, so the transport is invisible in the results.
 
 Imports of the runner happen lazily inside functions: this module is
 imported by :mod:`repro.core.runner` itself.
@@ -14,68 +15,119 @@ imported by :mod:`repro.core.runner` itself.
 
 from __future__ import annotations
 
+import contextlib
+import dataclasses
 import multiprocessing
 from time import perf_counter
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
+from repro.common.errors import SimulationError
 from repro.replay.merge import ShardOutcome
 from repro.replay.sharding import Shard, ShardPlan
+
+#: Set by the pool initializer.  Executor workers are not daemonic, so
+#: ``multiprocessing`` alone would let them start pools of their own.
+_IN_POOL_WORKER = False
+
+
+def _mark_pool_worker() -> None:
+    global _IN_POOL_WORKER
+    _IN_POOL_WORKER = True
 
 
 def can_fork_workers() -> bool:
     """Whether this process may create worker processes.
 
-    Pool workers are daemonic and may not have children, so a scenario
-    whose spec asks for parallel shards degrades to in-process sequential
-    execution when it is itself being run inside a ``run_many`` worker —
-    same results, no nested pool.
+    A scenario whose spec asks for parallel shards degrades to in-process
+    sequential execution when it is itself being run inside a pool worker
+    (a ``run_many`` fan-out) — same results, no nested pool.
     """
-    return not multiprocessing.current_process().daemon
+    return not _IN_POOL_WORKER and not multiprocessing.current_process().daemon
+
+
+def fork_pool_map(
+    function: Callable[[Any], Any], payloads: Sequence[Any], *, workers: int, describe: Callable[[Any], str]
+) -> List[Any]:
+    """Map ``function`` over ``payloads`` in a fork pool, in payload order.
+
+    A worker that dies without returning (a SIGKILL, an OOM kill) raises
+    :class:`~repro.common.errors.SimulationError` naming, via ``describe``,
+    every payload that never returned; no partial result list escapes.
+    """
+    # Imported here: only pooled runs pay for concurrent.futures.
+    from concurrent.futures import ProcessPoolExecutor, wait
+    from concurrent.futures.process import BrokenProcessPool
+
+    if "fork" in multiprocessing.get_all_start_methods():
+        context = multiprocessing.get_context("fork")
+    else:  # pragma: no cover - Windows/macOS spawn fallback
+        context = multiprocessing.get_context()
+    with ProcessPoolExecutor(
+        max_workers=min(workers, len(payloads)),
+        mp_context=context,
+        initializer=_mark_pool_worker,
+    ) as pool:
+        futures = [pool.submit(function, payload) for payload in payloads]
+        wait(futures)
+    lost = [
+        describe(payload)
+        for payload, future in zip(payloads, futures)
+        if isinstance(future.exception(), BrokenProcessPool)
+    ]
+    if lost:
+        raise SimulationError(
+            "a pool worker died before returning (killed by a signal, e.g. "
+            f"out of memory); lost: {', '.join(lost)}"
+        )
+    return [future.result() for future in futures]
 
 
 def execute_shard(
     spec,
     shard: Shard,
     *,
+    trace=None,
     collect_perf: bool = False,
     timeline_bucket_seconds: Optional[float] = None,
+    events_sink=None,
+    events_sample: float = 1.0,
 ) -> ShardOutcome:
-    """Replay one shard against fresh per-shard state and package its outcome.
+    """Replay one shard and package its outcome.
 
-    Builds the shard's own network and trace/stream (deterministic
-    generation makes them identical across shards and processes), warms the
-    control plane from the scenario's warm-up window, replays exactly
-    ``[shard.start, shard.end)``, and exports the raw mergeable forms of
-    the workload and latency series alongside the finished ``RunResult``.
+    Without ``trace`` the shard builds its own network and trace/stream
+    (deterministic generation makes them identical across shards and
+    processes).  The control plane is warmed from the scenario's warm-up
+    window, replays exactly ``[shard.start, shard.end)``, and the raw
+    mergeable forms of the workload and latency series ride along with the
+    finished ``RunResult``.  A timeline bucket or an events sink traces the
+    replay; without either it keeps the shared null tracer.
     """
-    import math
-
     from repro.core.registry import get_control_plane
     from repro.core.runner import ScenarioRunner
     from repro.obs.timeline import MetricsTimeline
-    from repro.obs.tracer import NULL_TRACER, EventTracer
+    from repro.obs.tracer import NULL_TRACER, EventTracer, JsonlEventListener
     from repro.perf.recorder import PerfRecorder
 
-    entry = get_control_plane(shard.system)
-    config = spec.effective_config()
     started = perf_counter()
-    network = spec.build_network()
-    if spec.execution.stream:
-        trace = spec.build_stream(network)
-    else:
-        trace = spec.build_trace(network)
+    if trace is None:
+        network = spec.build_network()
+        trace = spec.build_stream(network) if spec.execution.stream else spec.build_trace(network)
 
     tracer = NULL_TRACER
-    if timeline_bucket_seconds is not None:
-        tracer = EventTracer(
-            system=entry.name, timeline=MetricsTimeline(timeline_bucket_seconds)
-        )
+    if timeline_bucket_seconds is not None or events_sink is not None:
+        system = get_control_plane(shard.system).name
+        timeline = None if timeline_bucket_seconds is None else MetricsTimeline(timeline_bucket_seconds)
+        tracer = EventTracer(system=system, timeline=timeline)
+        if events_sink is not None:
+            tracer.add_listener(
+                JsonlEventListener(events_sink, system=system, scenario=spec.name, sample=events_sample)
+            )
 
     run, plane = ScenarioRunner()._replay_system(
         shard.system,
         trace,
         schedule=spec.schedule,
-        config=config,
+        config=spec.effective_config(),
         failures=spec.failures,
         churn=spec.churn,
         perf=PerfRecorder() if collect_perf else None,
@@ -86,12 +138,9 @@ def execute_shard(
     )
     wall_seconds = perf_counter() - started
 
-    schedule = spec.schedule
-    bucket_count = max(1, math.ceil(schedule.duration_hours / schedule.bucket_hours))
-    workload_counts = [
-        count
-        for _, count in plane.workload_series().series(bucket_range=(0, bucket_count))
-    ]
+    # Raw request counts over the same bucket grid the run's Krps series covers.
+    buckets = (0, len(run.workload.krps))
+    workload_counts = [count for _, count in plane.workload_series().series(bucket_range=buckets)]
     return ShardOutcome(
         shard=shard,
         run=run,
@@ -102,52 +151,69 @@ def execute_shard(
 
 
 def execute_plan(
-    spec,
-    plan: ShardPlan,
-    *,
-    collect_perf: bool = False,
-    timeline_bucket_seconds: Optional[float] = None,
-    use_pool: bool = False,
+    spec, plan: ShardPlan, *, collect_perf: bool = False, obs=None, use_pool: bool = False
 ) -> List[ShardOutcome]:
     """Execute every shard of ``plan``, in-process or over a fork pool.
 
-    Shard outcomes come back in plan order either way; the merge sorts by
-    shard index again regardless, so results never depend on completion
-    order.
+    ``obs`` (a :class:`~repro.obs.tracer.TraceOptions`) asks for per-shard
+    timelines and, in-process only, for the events JSONL stream.  Shard
+    outcomes come back in plan order either way; the merge sorts by shard
+    index again regardless, so results never depend on completion order.
     """
-    if not use_pool:
-        return [
-            execute_shard(
-                spec,
-                shard,
-                collect_perf=collect_perf,
-                timeline_bucket_seconds=timeline_bucket_seconds,
-            )
+    timeline_bucket: Optional[float] = None
+    if obs is not None and obs.timeline:
+        timeline_bucket = obs.timeline_bucket_seconds or spec.schedule.bucket_seconds
+    if use_pool:
+        spec_dict = spec.to_dict()
+        payloads = [
+            {
+                "spec": spec_dict,
+                "shard": dataclasses.asdict(shard),
+                "collect_perf": collect_perf,
+                "timeline_bucket_seconds": timeline_bucket,
+            }
             for shard in plan.shards
         ]
+        raw = fork_pool_map(
+            _execute_shard_payload,
+            payloads,
+            workers=plan.workers,
+            describe=lambda payload: "shard {index} ({system} [{start:g}, {end:g}))".format(**payload["shard"]),
+        )
+        return [_outcome_from_dict(data) for data in raw]
 
-    if "fork" in multiprocessing.get_all_start_methods():
-        context = multiprocessing.get_context("fork")
-    else:  # pragma: no cover - Windows/macOS spawn fallback
-        context = multiprocessing.get_context()
-    spec_dict = spec.to_dict()
-    payloads = [
-        {
-            "spec": spec_dict,
-            "shard": {
-                "index": shard.index,
-                "system": shard.system,
-                "start": shard.start,
-                "end": shard.end,
-            },
-            "collect_perf": collect_perf,
-            "timeline_bucket_seconds": timeline_bucket_seconds,
-        }
-        for shard in plan.shards
-    ]
-    with context.Pool(processes=min(plan.workers, len(plan.shards))) as pool:
-        raw = pool.map(_execute_shard_payload, payloads)
-    return [_outcome_from_dict(data) for data in raw]
+    from repro.traffic.trace import Trace
+
+    # A stream is consumed by its replay, so every shard drains a fresh one;
+    # a materialized trace is generated once and shared by every shard.
+    base_trace = None if spec.execution.stream else spec.build_trace(spec.build_network())
+    events_path = obs.events_path if obs is not None else None
+    sink = open(events_path, "w", encoding="utf-8") if events_path is not None else contextlib.nullcontext()
+    with sink as events_sink:
+        outcomes = []
+        for shard in plan.shards:
+            if base_trace is None:
+                trace = spec.build_stream(spec.build_network())
+            elif spec.churn_active:
+                # Churn mutates the topology during a replay, so each shard
+                # starts from its own pristine network.  The deterministic
+                # builder yields an identical copy, and the already-generated
+                # flows are simply rebound to it.
+                trace = Trace(base_trace.name, spec.build_network(), base_trace.flows)
+            else:
+                trace = base_trace
+            outcomes.append(
+                execute_shard(
+                    spec,
+                    shard,
+                    trace=trace,
+                    collect_perf=collect_perf,
+                    timeline_bucket_seconds=timeline_bucket,
+                    events_sink=events_sink,
+                    events_sample=obs.sample if obs is not None else 1.0,
+                )
+            )
+        return outcomes
 
 
 def _execute_shard_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
@@ -165,12 +231,7 @@ def _execute_shard_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
 
 def _outcome_to_dict(outcome: ShardOutcome) -> Dict[str, Any]:
     return {
-        "shard": {
-            "index": outcome.shard.index,
-            "system": outcome.shard.system,
-            "start": outcome.shard.start,
-            "end": outcome.shard.end,
-        },
+        "shard": dataclasses.asdict(outcome.shard),
         "run": outcome.run.to_dict(),
         "wall_seconds": outcome.wall_seconds,
         "workload_counts": outcome.workload_counts,

@@ -4,10 +4,9 @@ Two strategies are registered (see :data:`repro.replay.spec.SHARD_STRATEGIES`):
 
 ``system``
     One shard per selected control-plane system, each covering the whole
-    replay timeline.  Every shard runs exactly the code path the serial
-    runner uses for that system, so the merged scenario result is
-    bit-identical to the serial run by construction — this is the default
-    and the safe way to use a process pool.
+    replay timeline.  A serial run *is* this plan executed in-process, so
+    the pooled result is bit-identical to the serial one by construction —
+    this is the default and the safe way to use a process pool.
 
 ``time-window``
     Each system's replay timeline is split into contiguous half-open

@@ -151,6 +151,18 @@ class TestPerfSnapshotSerialization:
         assert "flows/sec" in text
         assert "replay" in text
         assert "dissemination" in text
+        # A fractional gauge prints as a fraction, an integral one as an integer.
+        kernel = PerfSnapshot(
+            wall_seconds=1.0,
+            flows_replayed=100,
+            flows_per_second=100.0,
+            counters={"kernel.flows_vectorized": 87, "kernel.flows_fallback": 13},
+            gauges={"kernel.min_batch_coverage": 0.31, "replay.peak_rss_bytes": 12345678.0},
+        )
+        text = format_stage_breakdown(kernel, label="x")
+        assert "worst single-batch coverage: 31.0%" in text
+        assert "kernel.min_batch_coverage = 0.31\n" in text
+        assert text.endswith("replay.peak_rss_bytes = 12,345,678")
 
 
 class TestInstrumentedRuns:

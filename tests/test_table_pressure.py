@@ -59,13 +59,13 @@ class TestTickDrivenExpiry:
         )
         system = OpenFlowSystem(network, config=config)
         assert feed(system, tiny_trace(network)) > 0
-        occupied = sum(len(s.flow_table) for s in system._switches.values())
+        occupied = sum(len(s.flow_table) for s in system.switches())
         assert occupied > 0
         assert system.controller.flow_removed_received == 0
 
         system.periodic(now=300_000.0)
 
-        assert sum(len(s.flow_table) for s in system._switches.values()) == 0
+        assert sum(len(s.flow_table) for s in system.switches()) == 0
         usage = system.table_usage()
         assert usage.idle_timeouts == occupied
         # Every expiry was reported to the controller as a flow_removed.
@@ -97,11 +97,11 @@ class TestTickDrivenExpiry:
         )
         system = OpenFlowSystem(network, config=config)
         feed(system, tiny_trace(network), upto=600.0)
-        occupied = sum(len(s.flow_table) for s in system._switches.values())
+        occupied = sum(len(s.flow_table) for s in system.switches())
         assert occupied > 0
         # Expired by idle time, but the sweep interval has not elapsed yet.
         system.periodic(now=600.0 + 100.0)
-        assert sum(len(s.flow_table) for s in system._switches.values()) == occupied
+        assert sum(len(s.flow_table) for s in system.switches()) == occupied
 
 
 class TestTablePressureRuns:
