@@ -182,14 +182,50 @@ class GroupFib:
         if cached is not None:
             self.query_cache_hits += 1
             return cached
-        needle = mac.to_bytes()
-        result = tuple(
-            sorted(switch_id for switch_id, bloom in self._filters.items() if needle in bloom)
-        )
+        result = self.probe(mac)
         if len(self._query_cache) >= self.QUERY_CACHE_LIMIT:
             self._query_cache.clear()
         self._query_cache[mac] = result
         return result
+
+    def probe(self, mac: MacAddress) -> tuple[int, ...]:
+        """What :meth:`query` answers for ``mac``, touching neither cache nor counters.
+
+        A side-channel read for callers that must know a query's answer up
+        front and account for the query itself separately (the vectorized
+        replay kernel).
+        """
+        needle = mac.to_bytes()
+        return tuple(
+            sorted(switch_id for switch_id, bloom in self._filters.items() if needle in bloom)
+        )
+
+    @property
+    def query_cache_size(self) -> int:
+        """Number of memoized query answers (cleared wholesale at the limit)."""
+        return len(self._query_cache)
+
+    def is_query_cached(self, mac: MacAddress) -> bool:
+        """Whether the next :meth:`query` for ``mac`` would be a cache hit."""
+        return mac in self._query_cache
+
+    def prime_queries(self, answers: Mapping[MacAddress, tuple[int, ...]], queries: int) -> None:
+        """Account ``queries`` queries whose only cache misses are ``answers``.
+
+        The order-free aggregate of a run of :meth:`query` calls that never
+        reaches the cache's clear threshold: each MAC in ``answers`` (none of
+        them cached yet) misses once and has its answer memoized, and every
+        other query is a hit.  Raises ``ValueError`` when that premise does
+        not hold, since a wholesale clear would make the order matter.
+        """
+        cache = self._query_cache
+        if queries < len(answers) or any(mac in cache for mac in answers):
+            raise ValueError("primed answers must be distinct uncached first queries")
+        if len(cache) + len(answers) >= self.QUERY_CACHE_LIMIT:
+            raise ValueError("priming would reach the query cache's clear threshold")
+        cache.update(answers)
+        self.query_count += queries
+        self.query_cache_hits += queries - len(answers)
 
     def query_exact(self, mac: MacAddress) -> tuple[int, ...]:
         """Ground-truth query against the shadow sets (analysis only)."""

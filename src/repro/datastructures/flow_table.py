@@ -24,7 +24,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Set
+from types import MappingProxyType
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Set
 
 from repro.common.config import FlowTableConfig
 from repro.common.errors import FlowTableError
@@ -157,6 +158,16 @@ class FlowTable:
     def occupancy(self) -> int:
         """Number of currently installed rules."""
         return len(self._rules)
+
+    @property
+    def resident_rules(self) -> Mapping[FlowKey, FlowRule]:
+        """A live read-only view of the installed rules, keyed by flow key.
+
+        Reading it neither enforces expiry nor touches statistics (unlike
+        :meth:`lookup`), so a caller can inspect a rule and decide for itself
+        whether it is still alive — the vectorized replay kernel's probe.
+        """
+        return MappingProxyType(self._rules)
 
     def __len__(self) -> int:
         return len(self._rules)

@@ -47,8 +47,8 @@ def require_numpy() -> None:
 def build_batch_handler(plane, *, perf=NULL_RECORDER):
     """Build the vectorized batch handler for one control plane.
 
-    Returns a callable accepting one replay batch (a list of
-    :class:`~repro.traffic.flow.FlowRecord`), or ``None`` when ``plane`` is
+    Returns a callable accepting one replay batch (a
+    :class:`~repro.traffic.flow.FlowBatch`), or ``None`` when ``plane`` is
     not a plane type the kernel knows how to accelerate (custom control
     planes registered by tests keep the scalar path).  Raises
     :class:`~repro.common.errors.ConfigurationError` when numpy is missing.

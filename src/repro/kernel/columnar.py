@@ -2,9 +2,12 @@
 
 One kernel instance wraps one control plane for one replay and is invoked by
 :class:`~repro.traffic.replay.TraceReplayer` once per batch (the flows
-between two periodic ticks, within one stream chunk).  The batch is
-columnarized into parallel numpy arrays, grouped by (src host, dst host)
-pair, and every pair is classified against the *current* dataplane state:
+between two periodic ticks, within one stream chunk).  The batch arrives as
+a :class:`~repro.traffic.flow.FlowBatch`, whose ``array`` columns are
+wrapped zero-copy as numpy arrays, grouped by (src host, dst host) pair,
+and every pair is classified against the *current* dataplane state, read
+through the switches' public accessors (``FlowTable.resident_rules``,
+``GroupFib.probe``):
 
 * ``LOCAL`` — no flow rule, destination in the ingress L-FIB;
 * ``HIT`` — a live ``FORWARD_LOCAL``/``ENCAP_TO_SWITCH`` rule that stays
@@ -15,6 +18,14 @@ pair, and every pair is classified against the *current* dataplane state:
 * ``DEPARTED`` — an endpoint no longer exists;
 * everything else — ``FALLBACK``: the flows run the scalar
   ``handle_flow_arrival`` path one by one, in arrival order.
+
+Every fallback flow is counted under one reason —
+``kernel.fallback.bypass`` (the whole batch went scalar: an event listener,
+a failed switch, host ids past the packing base), ``.stale_rule`` (a
+resident rule the arrays cannot prove alive through the pair's arrivals),
+``.controller_miss`` (no rule, not local, no G-FIB answer: the controller
+decides) or ``.slack_guard`` (a ``HIT`` demoted by the capacity guard) — so
+the four always sum to ``kernel.flows_fallback``.
 
 The contract is bit-identity with the scalar replayer, not approximation.
 The load-bearing facts, each mirrored from the scalar code it replaces:
@@ -55,6 +66,8 @@ from repro.datastructures.flow_table import ActionType
 from repro.obs.events import LinkCongestedEvent
 from repro.obs.timeline import _latency_bin
 from repro.perf.recorder import NULL_RECORDER
+from repro.perf.report import FALLBACK_REASONS
+from repro.traffic.flow import FlowBatch
 
 # Pair classes.
 _FALLBACK = 0
@@ -94,23 +107,6 @@ _NULL_LATENCY = _NullLatencyRecorder()
 _NULL_INTENSITY = _NullIntensityMatrix()
 
 
-def _probe_gfib(gfib, mac):
-    """GroupFib.query's membership computation, without its cache/counters.
-
-    Classification needs each pair's candidate set up front, but the real
-    query memoizes results and counts hits — state the execution stage
-    accounts for separately (wholesale when no cache clear is possible, by
-    replaying the real queries in arrival order otherwise).  Filters cannot
-    change mid-batch (dissemination runs at ticks, and the kernel is only
-    wired for churn-free replays), so this probe returns exactly what every
-    in-batch query for ``mac`` will.
-    """
-    needle = mac.to_bytes()
-    return tuple(
-        sorted(switch_id for switch_id, bloom in gfib._filters.items() if needle in bloom)
-    )
-
-
 class _PairStatic:
     """Per-(src, dst) host-pair facts that cannot change while the kernel runs.
 
@@ -118,12 +114,13 @@ class _PairStatic:
     so host placement and L-FIB membership are run-static; a cheap topology
     token guards the assumption and clears the memo if it ever breaks.
 
-    Resolved objects (ingress switch, its rules dict, timeout bounds, G-FIB)
-    are pinned here so the steady-state classification of a pair costs one
-    dict ``get`` plus a branch.  The G-FIB probe result is memoized per
-    filter generation: ``GroupFib.version`` only moves on dissemination
-    events (churn host-moves, regrouping), so between them the candidate
-    set — and everything derived from it — is a constant of the pair.
+    Resolved objects (ingress switch, its resident-rules view, timeout
+    bounds, G-FIB) are pinned here so the steady-state classification of a
+    pair costs one mapping ``get`` plus a branch.  The G-FIB probe result is
+    memoized per filter generation: ``GroupFib.version`` only moves on
+    dissemination events (churn host-moves, regrouping), so between them the
+    candidate set — and everything derived from it — is a constant of the
+    pair.
     """
 
     __slots__ = (
@@ -222,7 +219,7 @@ class ColumnarReplayKernel:
                 is_local=switch.lfib.lookup(dst_host.mac) is not None,
                 switch=switch,
                 table=table,
-                rules=table._rules,
+                rules=table.resident_rules,
                 bounds=self._bounds(table),
                 gfib=switch.gfib if self._lazyctrl else None,
             )
@@ -238,7 +235,15 @@ class ColumnarReplayKernel:
             perf.count("kernel.batches", 1)
             perf.count("kernel.batches_bypassed", 1)
             perf.count("kernel.flows_fallback", len(batch))
+            self._count_fallback_reasons(bypass=len(batch))
             self._note_coverage(0, len(batch))
+
+    def _count_fallback_reasons(
+        self, *, bypass: int = 0, stale_rule: int = 0, controller_miss: int = 0, slack_guard: int = 0
+    ) -> None:
+        flows = (bypass, stale_rule, controller_miss, slack_guard)
+        for reason, amount in zip(FALLBACK_REASONS, flows):
+            self._perf.count(f"kernel.fallback.{reason}", amount)
 
     def _note_coverage(self, vectorized: int, total: int) -> None:
         if total <= 0:
@@ -285,15 +290,25 @@ class ColumnarReplayKernel:
             perf.count("kernel.batches", 1)
             perf.count("kernel.flows_vectorized", n - fallback_flows)
             perf.count("kernel.flows_fallback", fallback_flows)
+            counts = state["counts"]
+            stale_pairs, miss_pairs, demoted_pairs = state["fallback_pairs"]
+            self._count_fallback_reasons(
+                stale_rule=sum(counts[g] for g in stale_pairs),
+                controller_miss=sum(counts[g] for g in miss_pairs),
+                slack_guard=sum(counts[g] for g in demoted_pairs),
+            )
             self._note_coverage(n - fallback_flows, n)
 
     # -- stage 1: columnarize + classify --------------------------------------
 
     def _classify(self, batch, n: int):
-        src_ids = np.array([flow.src_host_id for flow in batch], dtype=np.int64)
-        dst_ids = np.array([flow.dst_host_id for flow in batch], dtype=np.int64)
-        times = np.array([flow.start_time for flow in batch], dtype=np.float64)
-        pcs = np.array([flow.packet_count for flow in batch], dtype=np.int64)
+        # Zero-copy views of the batch's columns (a record sequence is
+        # columnarized first); nothing below writes them.
+        columns = FlowBatch.coerce(batch)
+        src_ids = np.frombuffer(columns.src_host_ids, dtype=np.int64)
+        dst_ids = np.frombuffer(columns.dst_host_ids, dtype=np.int64)
+        times = np.frombuffer(columns.start_times, dtype=np.float64)
+        pcs = np.frombuffer(columns.packet_counts, dtype=np.int64)
         if src_ids.size and (int(src_ids.max()) >= _CODE_BASE or int(dst_ids.max()) >= _CODE_BASE):
             return None  # host ids beyond the packing base: replay scalar
         codes = src_ids * _CODE_BASE + dst_ids
@@ -336,6 +351,9 @@ class ColumnarReplayKernel:
         local_pairs: List[int] = []
         hit_pairs_by_switch: Dict[int, List[int]] = {}
         new_keys_by_switch: Dict[int, int] = {}
+        stale_pairs: List[int] = []
+        miss_pairs: List[int] = []
+        demoted_pairs: List[int] = []
         uniq_list = uniq.tolist()
 
         pair_static_get = self._pair_static.get
@@ -372,6 +390,7 @@ class ColumnarReplayKernel:
                     hit_pairs_by_switch.setdefault(info.src_switch_id, []).append(g)
                 else:
                     cls_append(_FALLBACK)
+                    stale_pairs.append(g)
             elif info.is_local:
                 cls_append(_LOCAL)
                 pair_first[g] = local_ms
@@ -386,7 +405,7 @@ class ColumnarReplayKernel:
                     # the execution stage replays.  The result is a constant
                     # of the pair until the next dissemination bumps the
                     # filter generation.
-                    candidates = _probe_gfib(gfib, info.dst_mac)
+                    candidates = gfib.probe(info.dst_mac)
                     info.candidates = candidates
                     info.gfib_version = gfib.version
                     if candidates:
@@ -402,11 +421,13 @@ class ColumnarReplayKernel:
                     intra_records.append((g, info))
                 else:
                     cls_append(_FALLBACK)
+                    miss_pairs.append(g)
                     new_keys_by_switch[info.src_switch_id] = (
                         new_keys_by_switch.get(info.src_switch_id, 0) + 1
                     )
             else:
                 cls_append(_FALLBACK)
+                miss_pairs.append(g)
                 new_keys_by_switch[info.src_switch_id] = (
                     new_keys_by_switch.get(info.src_switch_id, 0) + 1
                 )
@@ -419,9 +440,10 @@ class ColumnarReplayKernel:
             if not pending:
                 continue
             table = switches[switch_id].flow_table
-            if len(table._rules) + pending >= table.capacity:
+            if table.occupancy + pending >= table.capacity:
                 for g in pair_list:
                     cls[g] = _FALLBACK
+                demoted_pairs.extend(pair_list)
 
         cls_arr = np.array(cls, dtype=np.int8)
         cls_flow = cls_arr[inverse]
@@ -452,6 +474,7 @@ class ColumnarReplayKernel:
             "intra_records": intra_records,
             "local_pairs": local_pairs,
             "fallback_pair_count": cls.count(_FALLBACK),
+            "fallback_pairs": (stale_pairs, miss_pairs, demoted_pairs),
         }
 
     # -- stage 2: replay fallback flows (and meter, in true order) -------------
@@ -518,22 +541,17 @@ class ColumnarReplayKernel:
                 previous[0] += counts[g]
         plans = []
         for gfib, queries in per_gfib.values():
-            cache = gfib._query_cache
             total = 0
-            new_entries = []
+            new_entries = {}
             for mac, (pair_flows, candidates) in queries.items():
                 total += pair_flows
-                if mac not in cache:
-                    new_entries.append((mac, candidates))
-            if len(cache) + len(new_entries) + fallback_pairs >= gfib.QUERY_CACHE_LIMIT:
+                if not gfib.is_query_cached(mac):
+                    new_entries[mac] = candidates
+            if gfib.query_cache_size + len(new_entries) + fallback_pairs >= gfib.QUERY_CACHE_LIMIT:
                 return False
             plans.append((gfib, total, new_entries))
         for gfib, total, new_entries in plans:
-            cache = gfib._query_cache
-            for mac, candidates in new_entries:
-                cache[mac] = candidates
-            gfib.query_count += total
-            gfib.query_cache_hits += total - len(new_entries)
+            gfib.prime_queries(new_entries, total)
         return True
 
     def _walk_plain(self, batch, state, indices: List[int]) -> None:

@@ -69,13 +69,19 @@ class PerfSnapshot:
         return dataclass_from_dict(cls, cleaned)
 
 
+#: Why a flow left the kernel's array path; ``kernel.fallback.<reason>``
+#: counters, which sum to ``kernel.flows_fallback``.
+FALLBACK_REASONS = ("bypass", "stale_rule", "controller_miss", "slack_guard")
+
+
 def format_kernel_breakdown(snapshot: PerfSnapshot) -> str:
     """Render the vectorized-kernel section of a profile, if the kernel ran.
 
     Shows what a bench run cannot: how much of the replay actually stayed on
     the array path (overall and for the worst single batch) and where the
     kernel's own time went, so a fallback regression — a scenario drifting
-    into scalar territory — is visible from ``repro profile`` alone.
+    into scalar territory — is visible from ``repro profile`` alone, down
+    to why each fallback flow left the array path.
     Returns the empty string for runs that never engaged the kernel.
     """
     counters = snapshot.counters
@@ -95,6 +101,11 @@ def format_kernel_breakdown(snapshot: PerfSnapshot) -> str:
     floor = snapshot.gauges.get("kernel.min_batch_coverage")
     if floor is not None:
         lines.append(f"  worst single-batch coverage: {floor:.1%}")
+    reasons = [
+        f"{reason} {counters.get(f'kernel.fallback.{reason}', 0):,}"
+        for reason in FALLBACK_REASONS
+    ]
+    lines.append(f"  fallback reasons: {', '.join(reasons)} (sum {fallback:,})")
     for name in ("kernel_classify", "kernel_fallback", "kernel_accumulate"):
         try:
             stage = snapshot.stage(name)

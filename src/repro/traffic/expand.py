@@ -15,7 +15,7 @@ from typing import List, Optional
 
 from repro.common.errors import TrafficError
 from repro.common.rng import make_rng
-from repro.traffic.flow import FlowRecord
+from repro.traffic.flow import FlowBatch, FlowRecord
 from repro.traffic.trace import Trace
 
 
@@ -46,7 +46,7 @@ def expand_trace(
     rng = make_rng(seed, "expand-trace", trace.name)
     existing_pairs = trace.communicating_pairs()
     extra_count = int(round(trace.flow_count() * extra_fraction))
-    next_flow_id = max((flow.flow_id for flow in trace.flows), default=-1) + 1
+    next_flow_id = max(trace.flows.flow_ids, default=-1) + 1
 
     window_start = window_start_hour * 3600.0
     window_span = (window_end_hour - window_start_hour) * 3600.0
@@ -95,5 +95,5 @@ def expand_trace(
                 )
             )
 
-    combined = list(trace.flows) + extra_flows
+    combined = FlowBatch.concat((trace.flows, extra_flows))
     return Trace(name or f"{trace.name}-expanded", network, combined)

@@ -20,10 +20,15 @@ The replayer drains its source chunk by chunk through the
 :class:`~repro.traffic.stream.FlowStream` protocol — a materialized
 :class:`~repro.traffic.trace.Trace` presents itself as one resident chunk,
 a generated stream as a lazy sequence of O(chunk)-sized ones — so replay
-memory is bounded by the chunk size, not the trace size.  Within each chunk
-the inner loop stays batched: flows between two periodic ticks are drained
-in one slice with the sink's handler pre-resolved to a local, and the engine
-lockstep is consulted only when an engine event is actually pending.  An
+memory is bounded by the chunk size, not the trace size.  Chunks are
+:class:`~repro.traffic.flow.FlowBatch` columns: tick boundaries are
+bisected on the start-time column, a batch handler (the vectorized kernel)
+receives a :class:`~repro.traffic.flow.FlowBatch` slice, and the scalar
+path hands the sink one :class:`~repro.traffic.flow.FlowRecord` view per
+flow.  Within each chunk the inner loop stays batched: flows between two
+periodic ticks are drained in one slice with the sink's handler
+pre-resolved to a local, and the engine lockstep is consulted only when an
+engine event is actually pending.  An
 optional :class:`~repro.perf.recorder.PerfRecorder` times the stages and
 counts drained chunks; the default
 :data:`~repro.perf.recorder.NULL_RECORDER` makes instrumentation a
@@ -39,7 +44,7 @@ from typing import TYPE_CHECKING, Callable, List, Optional, Protocol, Sequence
 from repro.obs.events import ChunkDrainedEvent, ReplayTickEvent
 from repro.obs.tracer import NULL_TRACER
 from repro.perf.recorder import NULL_RECORDER
-from repro.traffic.flow import FlowRecord
+from repro.traffic.flow import FlowBatch, FlowRecord
 from repro.traffic.stream import FlowStream, windowed_chunks
 
 if TYPE_CHECKING:  # pragma: no cover - import for type checkers only
@@ -91,7 +96,7 @@ class TraceReplayer:
         event_engine: "SimulationEngine | None" = None,
         perf=NULL_RECORDER,
         tracer=NULL_TRACER,
-        batch_handler: Optional[Callable[[Sequence[FlowRecord]], None]] = None,
+        batch_handler: Optional[Callable[[FlowBatch], None]] = None,
     ) -> None:
         if periodic_interval <= 0:
             raise ValueError("periodic_interval must be positive")
@@ -141,7 +146,7 @@ class TraceReplayer:
 
         for flows in windowed_chunks(self._trace, start=start, end=end):
             progress.chunks_drained += 1
-            start_times = [flow.start_time for flow in flows]
+            start_times = flows.start_times
             total = len(flows)
             index = 0
             while index < total:
@@ -149,7 +154,7 @@ class TraceReplayer:
                 # batch; the tick at time T fires before flows at or after T.
                 boundary = bisect_left(start_times, next_tick, index)
                 if boundary > index:
-                    batch = flows[index:boundary]
+                    batch = flows if boundary - index == total else flows[index:boundary]
                     with perf.timeit("flow_handling"):
                         if batch_handler is not None:
                             batch_handler(batch)

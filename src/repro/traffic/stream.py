@@ -2,18 +2,25 @@
 
 A :class:`FlowStream` is the lazy counterpart of a materialized
 :class:`~repro.traffic.trace.Trace`: a re-iterable sequence of time-ordered
-*chunks* of :class:`~repro.traffic.flow.FlowRecord`, bound to a topology and
-carrying its nominal ``total_flows`` and ``duration`` up front.  The traffic
-generators emit streams natively, the replayer drains them chunk by chunk,
-and ``Trace`` is now just the convenience consumer that concatenates every
-chunk into a list — so a multi-million-flow replay never holds more than one
-chunk (plus the control plane under test) in memory.
+*chunks*, bound to a topology and carrying its nominal ``total_flows`` and
+``duration`` up front.  Every chunk is a :class:`~repro.traffic.flow.FlowBatch`
+— one ``array`` column per flow field — and a
+:class:`~repro.traffic.flow.FlowRecord` is only the per-row view a consumer
+builds by indexing or iterating a chunk.  The traffic generators emit
+streams natively, the replayer drains them chunk by chunk, and ``Trace`` is
+just the convenience consumer that concatenates every chunk's columns — so
+a multi-million-flow replay never holds more than one chunk (plus the
+control plane under test) in memory.
 
 The contract every stream upholds:
 
 * **chunks are time-ordered** — flows within a chunk are sorted by
   ``(start_time, src, dst, payload)`` and every flow in chunk ``n+1`` starts
   at or after every flow in chunk ``n``;
+* **chunks are batches** — the built-in streams yield
+  :class:`~repro.traffic.flow.FlowBatch` chunks; the consumers here
+  (:func:`windowed_chunks`, :class:`TraceStatistics`, ``Trace``) also accept
+  a third-party stream's record sequences and convert them once;
 * **flow ids are assigned in emission order** — chunk concatenation yields
   ids ``0..n-1`` ascending, which is exactly the canonical order the
   materialized path produces;
@@ -29,8 +36,8 @@ The contract every stream upholds:
 
 :class:`TraceStatistics` is the single accumulating pass shared by streams
 and traces: it folds switch intensity, pair activity and hourly arrival
-counts out of one walk over the flows, instead of re-scanning a materialized
-list per view.
+counts out of one walk over each chunk's columns, instead of re-scanning a
+materialized list per view.
 """
 
 from __future__ import annotations
@@ -57,7 +64,7 @@ from repro.common.errors import TrafficError
 from repro.common.rng import make_rng
 from repro.datastructures.intensity import IntensityMatrix
 from repro.topology.network import DataCenterNetwork
-from repro.traffic.flow import FlowRecord
+from repro.traffic.flow import FlowBatch, FlowDraw, FlowRecord
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (trace imports stream)
     from repro.traffic.trace import PairActivity, Trace
@@ -66,11 +73,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (trace imports stream
 #: runtime knob: the chunk grid feeds the per-chunk RNG derivation, so making
 #: it configurable would let two "identical" runs produce different traces.
 CHUNK_TARGET_FLOWS = 50_000
-
-#: A flow before it has an identity: (start_time, src, dst, packets, bytes,
-#: duration).  Generators emit draws, the stream sorts them and mints ids.
-FlowDraw = Tuple[float, int, int, int, int, float]
-
 
 @runtime_checkable
 class FlowStream(Protocol):
@@ -89,8 +91,8 @@ class FlowStream(Protocol):
         """Nominal timeline length in seconds."""
         ...
 
-    def chunks(self) -> Iterator[Sequence[FlowRecord]]:
-        """Yield the flows as time-ordered chunks (re-iterable)."""
+    def chunks(self) -> Iterator[FlowBatch]:
+        """Yield the flows as time-ordered :class:`FlowBatch` chunks (re-iterable)."""
         ...
 
 
@@ -107,14 +109,21 @@ def accumulate_intensity(
     The intensity-only fast path: the warm-up grouping and the Fig. 6
     analysis only need the matrix, so they skip the per-flow hourly/pair
     accounting :class:`TraceStatistics` would also do.
+
+    Flows are counted per host pair straight off the endpoint columns and
+    folded with one ``record_many`` per pair, in first-arrival order.  That
+    is bit-identical to one ``record`` per flow: every addition is ``1.0``,
+    so each entry (and the total) sees the same sequence of additions, and
+    a switch pair enters the matrix at its first arrival either way.
     """
     if matrix is None:
         matrix = IntensityMatrix(network.switch_ids())
+    batch = FlowBatch.coerce(flows)
     pair_of = network.switch_pair_of_hosts
-    record = matrix.record
-    for flow in flows:
-        src_switch, dst_switch = pair_of(flow.src_host_id, flow.dst_host_id)
-        record(src_switch, dst_switch, 1.0)
+    record_many = matrix.record_many
+    for (src, dst), count in Counter(zip(batch.src_host_ids, batch.dst_host_ids)).items():
+        src_switch, dst_switch = pair_of(src, dst)
+        record_many(src_switch, dst_switch, count)
     return matrix
 
 
@@ -155,23 +164,32 @@ class TraceStatistics:
 
     def observe(self, flow: FlowRecord) -> None:
         """Fold one flow arrival into every view."""
-        if self.intensity is not None:
-            src_switch, dst_switch = self.network.switch_pair_of_hosts(
-                flow.src_host_id, flow.dst_host_id
-            )
-            self.intensity.record(src_switch, dst_switch, 1.0)
-        self.flow_count += 1
-        if flow.start_time > self.last_arrival:
-            self.last_arrival = flow.start_time
-        hour = int(flow.start_time // 3600)
-        self._hourly[hour] = self._hourly.get(hour, 0) + 1
-        if self._pair_counts is not None:
-            self._pair_counts[flow.unordered_pair] += 1
+        self.observe_all((flow,))
 
     def observe_all(self, flows: Iterable[FlowRecord]) -> "TraceStatistics":
-        """Fold a whole iterable of flows; returns self for chaining."""
-        for flow in flows:
-            self.observe(flow)
+        """Fold a whole batch (or iterable) of flows; returns self for chaining.
+
+        The views are read off the batch's columns: each is a count, a
+        maximum or an integer-valued sum, so folding a batch at once equals
+        folding its flows one by one.
+        """
+        batch = FlowBatch.coerce(flows)
+        if not batch:
+            return self
+        if self.intensity is not None:
+            accumulate_intensity(self.network, batch, self.intensity)
+        starts = batch.start_times
+        self.flow_count += len(batch)
+        latest = max(starts)
+        if latest > self.last_arrival:
+            self.last_arrival = latest
+        hourly = self._hourly
+        for hour, count in Counter(int(start // 3600) for start in starts).items():
+            hourly[hour] = hourly.get(hour, 0) + count
+        if self._pair_counts is not None:
+            pair_counts = self._pair_counts
+            for (a, b), count in Counter(zip(batch.src_host_ids, batch.dst_host_ids)).items():
+                pair_counts[(a, b) if a <= b else (b, a)] += count
         return self
 
     def hourly_flow_counts(self, *, hours: int = 24) -> List[int]:
@@ -319,7 +337,7 @@ class FlowStreamBase:
     name: str
     network: DataCenterNetwork
 
-    def chunks(self) -> Iterator[Sequence[FlowRecord]]:
+    def chunks(self) -> Iterator[FlowBatch]:
         raise NotImplementedError
 
     @property
@@ -379,9 +397,10 @@ class GeneratedStream(FlowStreamBase):
     """A stream produced chunk-by-chunk from a planned window grid.
 
     ``emit(rng, window)`` returns the chunk's raw draws; the stream sorts
-    them canonically, mints ascending flow ids and validates nothing — the
-    emitters only produce hosts that exist because they draw from the
-    topology they were built over.
+    them canonically and transposes them into a :class:`FlowBatch` with
+    ascending flow ids, checking the record invariants once per column.
+    Host ids are not checked here — the emitters only produce hosts that
+    exist because they draw from the topology they were built over.
     """
 
     def __init__(
@@ -417,10 +436,10 @@ class GeneratedStream(FlowStreamBase):
         """Number of planned chunks (empty windows included)."""
         return len(self._windows)
 
-    def chunks(self) -> Iterator[Sequence[FlowRecord]]:
+    def chunks(self) -> Iterator[FlowBatch]:
         return self.chunks_from(0.0)
 
-    def chunks_from(self, start: float) -> Iterator[Sequence[FlowRecord]]:
+    def chunks_from(self, start: float) -> Iterator[FlowBatch]:
         """Chunks that may contain flows at or after ``start``, ids intact.
 
         Windows ending strictly before ``start`` are *skipped without
@@ -443,18 +462,7 @@ class GeneratedStream(FlowStreamBase):
             rng = make_rng(self._seed, *self._rng_labels, "chunk", str(window.index))
             draws = self._emit(rng, window)
             draws.sort()
-            chunk = [
-                FlowRecord(
-                    start_time=draw[0],
-                    flow_id=flow_id + offset,
-                    src_host_id=draw[1],
-                    dst_host_id=draw[2],
-                    packet_count=draw[3],
-                    byte_count=draw[4],
-                    duration=draw[5],
-                )
-                for offset, draw in enumerate(draws)
-            ]
+            chunk = FlowBatch.from_draws(draws, flow_id)
             flow_id += len(chunk)
             yield chunk
 
@@ -463,10 +471,10 @@ class MaterializedStream(FlowStreamBase):
     """An already-materialized flow list presented through the stream protocol.
 
     Adapts third-party trace factories (which return a ``Trace``) and lets
-    every stream consumer also accept materialized input.  Chunks are list
-    slices, so iteration allocates one chunk at a time but the backing list
-    stays resident — this adapter provides the *interface*, not the memory
-    bound.
+    every stream consumer also accept materialized input.  Chunks are
+    slices of one backing :class:`FlowBatch` (a record list is converted
+    once), so the backing columns stay resident — this adapter provides the
+    *interface*, not the memory bound.
     """
 
     def __init__(
@@ -482,7 +490,7 @@ class MaterializedStream(FlowStreamBase):
             raise TrafficError("chunk_flows must be positive")
         self.name = name
         self.network = network
-        self._flows = flows
+        self._flows = FlowBatch.coerce(flows)
         self._chunk_flows = chunk_flows
         self._duration = duration
 
@@ -501,27 +509,12 @@ class MaterializedStream(FlowStreamBase):
     def duration(self) -> float:
         if self._duration is not None:
             return self._duration
-        return self._flows[-1].start_time if self._flows else 0.0
+        return self._flows.start_times[-1] if self._flows else 0.0
 
-    def chunks(self) -> Iterator[Sequence[FlowRecord]]:
+    def chunks(self) -> Iterator[FlowBatch]:
         flows = self._flows
         for offset in range(0, len(flows), self._chunk_flows):
             yield flows[offset : offset + self._chunk_flows]
-
-
-#: Canonical merge key: everything but the (re-assigned) flow id.  Identical
-#: to the materialized mix's canonical sort, which is what makes the merged
-#: stream independent of component order.
-def merge_key(flow: FlowRecord) -> FlowDraw:
-    """The canonical (time, endpoints, payload) ordering key of a flow."""
-    return (
-        flow.start_time,
-        flow.src_host_id,
-        flow.dst_host_id,
-        flow.packet_count,
-        flow.byte_count,
-        flow.duration,
-    )
 
 
 class MergedStream(FlowStreamBase):
@@ -532,6 +525,10 @@ class MergedStream(FlowStreamBase):
     (its window start).  The merge keeps every component's *current* chunk
     resident plus one output chunk — O(components × chunk) memory, still
     independent of trace length.
+
+    Flows merge in canonical draw order ``(time, src, dst, packets, bytes,
+    duration)`` — everything but the re-assigned flow id — which is what
+    makes the merged stream independent of component order.
     """
 
     def __init__(
@@ -560,39 +557,41 @@ class MergedStream(FlowStreamBase):
     @staticmethod
     def _shifted(stream: FlowStream, offset: float, span: float) -> Iterator[FlowDraw]:
         for chunk in stream.chunks():
-            for flow in chunk:
-                # Models that ignore duration_hours could emit past the
-                # component's window; chunks are time-ordered, so the first
-                # flow at or past the span ends the component without
-                # generating (and discarding) everything after it.
-                if flow.start_time >= span:
-                    return
-                key = merge_key(flow)
-                yield (key[0] + offset, *key[1:]) if offset else key
+            batch = FlowBatch.coerce(chunk)
+            # Models that ignore duration_hours could emit past the
+            # component's window; chunks are time-ordered, so the first
+            # flow at or past the span ends the component without
+            # generating (and discarding) everything after it.
+            inside = bisect_left(batch.start_times, span)
+            keys = zip(
+                batch.start_times[:inside],
+                batch.src_host_ids[:inside],
+                batch.dst_host_ids[:inside],
+                batch.packet_counts[:inside],
+                batch.byte_counts[:inside],
+                batch.durations[:inside],
+            )
+            if offset:
+                for key in keys:
+                    yield (key[0] + offset, *key[1:])
+            else:
+                yield from keys
+            if inside < len(batch):
+                return
 
-    def chunks(self) -> Iterator[Sequence[FlowRecord]]:
+    def chunks(self) -> Iterator[FlowBatch]:
         iterators = [self._shifted(stream, offset, span) for stream, offset, span in self._parts]
         merged = heapq.merge(*iterators)
-        chunk: List[FlowRecord] = []
+        keys: List[FlowDraw] = []
         flow_id = 0
         for key in merged:
-            chunk.append(
-                FlowRecord(
-                    start_time=key[0],
-                    flow_id=flow_id,
-                    src_host_id=key[1],
-                    dst_host_id=key[2],
-                    packet_count=key[3],
-                    byte_count=key[4],
-                    duration=key[5],
-                )
-            )
-            flow_id += 1
-            if len(chunk) >= self._chunk_flows:
-                yield chunk
-                chunk = []
-        if chunk:
-            yield chunk
+            keys.append(key)
+            if len(keys) >= self._chunk_flows:
+                yield FlowBatch.from_draws(keys, flow_id)
+                flow_id += len(keys)
+                keys = []
+        if keys:
+            yield FlowBatch.from_draws(keys, flow_id)
         elif flow_id == 0:
             # Match the materialized path, which refuses to build an empty
             # mix trace, so the streamed and materialized contracts agree.
@@ -604,7 +603,7 @@ class MergedStream(FlowStreamBase):
 
 def windowed_chunks(
     source: FlowStream, *, start: float = 0.0, end: Optional[float] = None
-) -> Iterator[Sequence[FlowRecord]]:
+) -> Iterator[FlowBatch]:
     """Drain a stream's chunks trimmed to the replay window ``[start, end)``.
 
     Chunks entirely before ``start`` are skipped, the stream is abandoned at
@@ -613,6 +612,9 @@ def windowed_chunks(
     Sources that can seek (:meth:`GeneratedStream.chunks_from`) additionally
     never generate the chunks *before* the window, which is what makes a
     time-window shard's cost proportional to its own span.
+
+    Every yielded chunk is a :class:`FlowBatch`; the trimming bisects its
+    start column.
     """
     if start > 0.0 and hasattr(source, "chunks_from"):
         source_chunks = source.chunks_from(start)
@@ -621,16 +623,18 @@ def windowed_chunks(
     for chunk in source_chunks:
         if not chunk:
             continue
-        if chunk[-1].start_time < start:
+        chunk = FlowBatch.coerce(chunk)
+        starts = chunk.start_times
+        if starts[-1] < start:
             continue
-        if end is not None and chunk[0].start_time >= end:
+        if end is not None and starts[0] >= end:
             break
         lo = 0
         hi = len(chunk)
-        if chunk[0].start_time < start:
-            lo = bisect_left(chunk, start, key=lambda flow: flow.start_time)
-        if end is not None and chunk[-1].start_time >= end:
-            hi = bisect_left(chunk, end, lo, key=lambda flow: flow.start_time)
+        if starts[0] < start:
+            lo = bisect_left(starts, start)
+        if end is not None and starts[-1] >= end:
+            hi = bisect_left(starts, end, lo)
         if lo == 0 and hi == len(chunk):
             yield chunk
         elif lo < hi:

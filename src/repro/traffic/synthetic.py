@@ -26,12 +26,12 @@ is the materialized wrapper.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 from repro.common.errors import ConfigurationError, TrafficError
 from repro.common.rng import make_rng
 from repro.topology.network import DataCenterNetwork
-from repro.traffic.flow import FlowRecord
+from repro.traffic.flow import FlowBatch
 from repro.traffic.stream import (
     ChunkWindow,
     FlowDraw,
@@ -110,7 +110,7 @@ class SyntheticTraceGenerator:
         if network.host_count() < 4:
             raise TrafficError("the topology needs at least 4 hosts to generate traffic")
         self._network = network
-        self._payloads: Optional[Sequence[FlowRecord]] = payload_trace.flows if payload_trace is not None else None
+        self._payloads: Optional[FlowBatch] = payload_trace.flows if payload_trace is not None else None
 
     def stream(self, spec: SyntheticTraceSpec) -> GeneratedStream:
         """One synthetic trace according to ``spec``, as a lazy chunk stream."""
@@ -137,11 +137,11 @@ class SyntheticTraceGenerator:
                 if rng.random() < 0.5:
                     src, dst = dst, src
                 if payloads:
-                    sample = payloads[rng.randrange(len(payloads))]
+                    row = rng.randrange(len(payloads))
                     packet_count, byte_count, duration = (
-                        sample.packet_count,
-                        sample.byte_count,
-                        sample.duration,
+                        payloads.packet_counts[row],
+                        payloads.byte_counts[row],
+                        payloads.durations[row],
                     )
                 else:
                     packet_count = max(1, int(rng.expovariate(1.0 / 12.0)) + 1)

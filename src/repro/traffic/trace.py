@@ -1,12 +1,20 @@
 """Trace container and trace-level statistics.
 
-A :class:`Trace` couples a time-sorted list of :class:`FlowRecord` with the
-:class:`~repro.topology.network.DataCenterNetwork` the hosts live in.  Since
-the streaming refactor it is the *materialized convenience wrapper* over the
-chunked pipeline: every built-in generator natively emits a
+A :class:`Trace` couples a time-sorted :class:`~repro.traffic.flow.FlowBatch`
+with the :class:`~repro.topology.network.DataCenterNetwork` the hosts live
+in.  It is the *materialized convenience wrapper* over the chunked
+pipeline: every built-in generator natively emits a
 :class:`~repro.traffic.stream.FlowStream`, and :meth:`Trace.from_stream`
-(or passing the stream straight to the constructor — streams are iterable)
-collects the chunks into a list for callers that want random access.
+(or passing the stream straight to the constructor) concatenates the
+chunks' columns into one resident batch for callers that want random
+access.  :class:`~repro.traffic.flow.FlowRecord` objects exist only as
+views: iterating or indexing the trace builds them on demand.
+
+Construction works on columns.  Input already in record order — every
+generated stream — passes an O(n) order check and is adopted as is;
+unordered input (an expanded or merged trace, hand-built records) is
+sorted.  Hosts are checked once per distinct host id, and an unknown one
+raises an error naming it.
 
 The derived views the rest of the library needs —
 
@@ -28,12 +36,12 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Sequence
+from typing import Iterable, Iterator, List, Optional
 
 from repro.common.errors import TrafficError
 from repro.datastructures.intensity import IntensityMatrix
 from repro.topology.network import DataCenterNetwork
-from repro.traffic.flow import FlowRecord
+from repro.traffic.flow import FlowBatch, FlowRecord
 from repro.traffic.stream import FlowStream, TraceStatistics, accumulate_intensity
 
 
@@ -46,19 +54,37 @@ class PairActivity:
     top_decile_share: float
 
 
-class Trace:
-    """A named, time-sorted collection of flow records bound to a topology."""
+def _collect(flows: Iterable[FlowRecord] | FlowStream) -> FlowBatch:
+    """One batch from a batch, a stream (or trace) or any record iterable."""
+    if isinstance(flows, FlowBatch):
+        return flows
+    chunks = getattr(flows, "chunks", None)
+    if chunks is not None:
+        return FlowBatch.concat(chunks())
+    return FlowBatch.from_records(flows)
 
-    def __init__(self, name: str, network: DataCenterNetwork, flows: Iterable[FlowRecord]) -> None:
+
+class Trace:
+    """A named, time-sorted batch of flows bound to a topology.
+
+    ``flows`` may be a :class:`FlowBatch` (adopted without copying), a
+    :class:`FlowStream` or trace (its chunks concatenated), or any iterable
+    of :class:`FlowRecord`.
+    """
+
+    def __init__(
+        self, name: str, network: DataCenterNetwork, flows: Iterable[FlowRecord] | FlowStream
+    ) -> None:
         self.name = name
         self.network = network
-        self._flows: List[FlowRecord] = sorted(flows)
-        self._start_times: List[float] = [flow.start_time for flow in self._flows]
+        batch = _collect(flows)
+        self._flows: FlowBatch = batch if batch.is_sorted() else batch.sorted()
         self._pair_stats: Optional[TraceStatistics] = None
-        for flow in self._flows:
-            # Fail fast on flows referencing hosts outside the topology.
-            network.host(flow.src_host_id)
-            network.host(flow.dst_host_id)
+        # Fail fast on flows referencing hosts outside the topology.
+        host_ids = set(batch.src_host_ids)
+        host_ids.update(batch.dst_host_ids)
+        for host_id in sorted(host_ids):
+            network.host(host_id)
 
     @classmethod
     def from_stream(cls, stream: FlowStream, *, name: Optional[str] = None) -> "Trace":
@@ -74,8 +100,8 @@ class Trace:
         return iter(self._flows)
 
     @property
-    def flows(self) -> Sequence[FlowRecord]:
-        """The time-sorted flow records."""
+    def flows(self) -> FlowBatch:
+        """The time-sorted flows (a batch; its rows are :class:`FlowRecord` views)."""
         return self._flows
 
     @property
@@ -86,13 +112,13 @@ class Trace:
     @property
     def duration(self) -> float:
         """Time of the last flow arrival (0 for an empty trace)."""
-        return self._flows[-1].start_time if self._flows else 0.0
+        return self._flows.start_times[-1] if self._flows else 0.0
 
     def flow_count(self) -> int:
         """Number of flow arrivals in the trace."""
         return len(self._flows)
 
-    def chunks(self) -> Iterator[Sequence[FlowRecord]]:
+    def chunks(self) -> Iterator[FlowBatch]:
         """The whole trace as a single chunk (the stream protocol).
 
         A materialized trace is already resident, so presenting it as one
@@ -102,12 +128,13 @@ class Trace:
         if self._flows:
             yield self._flows
 
-    def window(self, start: float, end: float) -> List[FlowRecord]:
+    def window(self, start: float, end: float) -> FlowBatch:
         """Flows whose arrival time falls in ``[start, end)``."""
         if end < start:
             raise TrafficError(f"invalid window [{start}, {end})")
-        lo = bisect.bisect_left(self._start_times, start)
-        hi = bisect.bisect_left(self._start_times, end)
+        start_times = self._flows.start_times
+        lo = bisect.bisect_left(start_times, start)
+        hi = bisect.bisect_left(start_times, end, lo)
         return self._flows[lo:hi]
 
     # -- derived statistics ---------------------------------------------------
@@ -167,4 +194,8 @@ class Trace:
         """
         if other.network is not self.network and not self.network.structurally_equal(other.network):
             raise TrafficError("cannot merge traces defined over different topologies")
-        return Trace(name or f"{self.name}+{other.name}", self.network, list(self._flows) + list(other.flows))
+        return Trace(
+            name or f"{self.name}+{other.name}",
+            self.network,
+            FlowBatch.concat((self._flows, other.flows)),
+        )
